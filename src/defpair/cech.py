@@ -15,18 +15,15 @@ ring expressing chart-j generators in chart-i generator coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
 from . import matrices as mat
 from .dgla import QComplex
-from .modules import FPModule, FreeComplex
-from .pairs import DerivationPair, check_derivation_pair
 from .poly import GREVLEX, PolyRing, Polynomial
-from .rings import (ArtinAlgebra, ExtendedRing, QuotientRing, RingError,
-                    RingMap, extend_ring)
+from .rings import ArtinAlgebra, QuotientRing, RingMap, extend_ring
 
 
 class CechError(ValueError):
@@ -81,17 +78,6 @@ def weight_monomials(ring: QuotientRing, w: int) -> list:
     rec(0, cap, [], 0)
     out.sort(key=ring.ambient.order.key)
     return out
-
-
-def poly_weight_coords(ring: QuotientRing, p: Polynomial, basis_pos: dict):
-    """Coordinates of a normal form in a weight-monomial basis; raises when a
-    term escapes the basis (wrong weight)."""
-    coords = [Fraction(0)] * len(basis_pos)
-    for m, c in ring.nf(p).terms.items():
-        if m not in basis_pos:
-            raise CechError("element has a term outside the expected weight line")
-        coords[basis_pos[m]] = c
-    return coords
 
 
 # ---------------------------------------------------------------------------
@@ -316,14 +302,6 @@ class LocallyFreeSheaf:
         inc = self.scheme.inclusion(pair, S)
         m = self.pair_matrix(f, i)
         return [[inc.ring_map(x) for x in row] for row in m]
-
-    def restrict(self, chart_i, subset, coords):
-        """Restrict a chart-i section to the overlap, in frame coordinates."""
-        S = frozenset(subset)
-        ring = self.scheme.ring(S)
-        inc = self.scheme.inclusion(frozenset([chart_i]), S)
-        mapped = tuple(inc.ring_map(c) for c in coords)
-        return mat.mat_vec(ring, self.frame_matrix(S, chart_i), mapped)
 
     def restrict_between(self, sub, sup, coords):
         """Restrict frame coordinates over ring(sub) to ring(sup)."""

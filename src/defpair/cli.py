@@ -18,8 +18,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Optional
 
 from .cech import (line_bundle, pair_sheaf, projective_line,
@@ -31,9 +30,9 @@ from .groebner import Caps, DEFAULT_CAPS, CapacityError
 from .mc import TableContext, mc_check, mc_residual
 from .modules import (FPModule, FreeComplex, fitting_chain, free_resolution,
                       kaehler_differentials)
-from .pairs import derivation_pair_module, PairError
-from .poly import GREVLEX, LEX, PolyRing, PolyError
-from .rings import ArtinError, QuotientRing, RingError, make_artin_algebra
+from .pairs import derivation_pair_module
+from .poly import PolyRing
+from .rings import Ideal, QuotientRing, make_artin_algebra
 
 VERSION = "0.1.0"
 SCHEMA = "defpair/1"
@@ -580,8 +579,7 @@ class Session:
         return handler(cmd.words[1:])
 
     def _cmd_groebner(self, args):
-        ideal = self._get(args[0])
-        basis = ideal.groebner()
+        basis = self._get(args[0], Ideal).groebner()
         return {"basis": [str(g) for g in basis] or ["0"]}
 
     def _cmd_fitting(self, args):
@@ -691,47 +689,33 @@ class Report:
 
 
 def run(script: SessionScript, seed: int = 0, caps: Caps = DEFAULT_CAPS,
-        fail_fast: bool = False, parallel: bool = False) -> list:
-    """Execute the script; one report per command, in declaration order."""
+        fail_fast: bool = False) -> list:
+    """Execute the script; one report per command and per failed
+    declaration, in script order.
+
+    Every library error subclasses ValueError; capacity limits raise
+    CapacityError.
+    """
     session = Session(seed=seed, caps=caps)
     reports = []
-
-    def execute(cmd):
-        start = time.perf_counter()
-        try:
-            payload = session.run_command(cmd)
-            status = "ok"
-        except (ScriptError, RingError, ArtinError, PolyError, PairError,
-                CapacityError, ValueError, KeyError, IndexError) as e:
-            payload = {"message": str(e)}
-            status = "error"
-        return Report(cmd.pretty(), status, payload,
-                      (time.perf_counter() - start) * 1000.0)
-
-    pending = []
-    stop = False
     for item in script.items:
-        if stop:
-            break
         if isinstance(item, Decl):
             try:
                 session.declare(item)
-            except (ScriptError, RingError, ArtinError, PolyError, PairError,
-                    CapacityError, ValueError) as e:
-                reports.append(Report(item.pretty(), "error", {"message": str(e)}))
-                if fail_fast:
-                    stop = True
-        elif parallel and not fail_fast:
-            pending.append(item)
+                continue
+            except (ValueError, CapacityError) as e:
+                rep = Report(item.pretty(), "error", {"message": str(e)})
         else:
-            rep = execute(item)
-            reports.append(rep)
-            if fail_fast and rep.status == "error":
-                stop = True
-    if pending:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            reports.extend(pool.map(execute, pending))
+            start = time.perf_counter()
+            try:
+                payload, status = session.run_command(item), "ok"
+            except (ValueError, CapacityError, KeyError, IndexError) as e:
+                payload, status = {"message": str(e)}, "error"
+            rep = Report(item.pretty(), status, payload,
+                         (time.perf_counter() - start) * 1000.0)
+        reports.append(rep)
+        if fail_fast and rep.status == "error":
+            break
     return reports
 
 
@@ -762,7 +746,6 @@ def main(argv=None) -> int:
     runp.add_argument("--seed", type=int, default=0)
     runp.add_argument("--max-degree", type=int, default=DEFAULT_CAPS.max_degree)
     runp.add_argument("--fail-fast", action="store_true")
-    runp.add_argument("--parallel", action="store_true")
     runp.add_argument("--timings", action="store_true",
                       help="include wall-clock timings (breaks byte determinism)")
     args = ap.parse_args(argv)
@@ -777,8 +760,7 @@ def main(argv=None) -> int:
         print(f"parse error: {e}", file=sys.stderr)
         return 2
     caps = Caps(max_pairs=DEFAULT_CAPS.max_pairs, max_degree=args.max_degree)
-    reports = run(script, seed=args.seed, caps=caps,
-                  fail_fast=args.fail_fast, parallel=args.parallel)
+    reports = run(script, seed=args.seed, caps=caps, fail_fast=args.fail_fast)
     if args.json:
         sys.stdout.write(render_json(reports, args.seed, with_timing=args.timings))
     else:

@@ -10,23 +10,23 @@ Cech machinery of the sheaf layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Optional
 
+from . import linalg
 from . import matrices as mat
 from .cech import (CechError, GluedScheme, LocallyFreeSheaf, cech_cohomology,
-                   cech_weight_complex, det_of_complex, extend_scheme,
-                   pair_sheaf, sheaf_hom, structure_sheaf, tangent_sheaf)
+                   cech_weight_complex, extend_scheme, pair_sheaf, sheaf_hom,
+                   tangent_sheaf)
 from .dgla import (GradedMap, PairChain, PairComplexDGLA, QComplex, TraceData,
                    pair_complex_dgla)
 from .mc import PairContext, gauge_act, mc_check
 from .modules import FPModule, FreeComplex
-from .pairs import (AutomorphismPair, DerivationPair, check_derivation_pair,
-                    exp_pair, identity_auto)
+from .pairs import DerivationPair, check_derivation_pair, exp_pair
 from .poly import Polynomial
-from .rings import ArtinAlgebra, QuotientRing, RingMap
+from .rings import ArtinAlgebra
 
 
 # ---------------------------------------------------------------------------
@@ -524,12 +524,6 @@ def traced_cocycle_as_pairs(space: DeformationSpace, traced: dict,
 # tangent spaces of the pair and the long exact sequence
 # ---------------------------------------------------------------------------
 
-def _sub_quot_indices(F_pair: LocallyFreeSheaf):
-    """Coordinate split of the pair sheaf: position 0 = anchor (tangent
-    quotient), the rest = endomorphism subsheaf."""
-    return [0], list(range(1, F_pair.rank))
-
-
 def pair_tangent_spaces(X: GluedScheme, F: LocallyFreeSheaf,
                         weight_bounds: Optional[tuple] = None) -> dict:
     """T^i of the pair (X, F) for a locally free sheaf, with the long exact
@@ -571,7 +565,6 @@ def pair_tangent_spaces(X: GluedScheme, F: LocallyFreeSheaf,
             i_star = _induced_map(qe, qt, incl, p)
             a_star = _induced_map(qt, qth, proj, p)
             delta = _connecting_map(qe, qt, qth, incl, proj, p)
-            from . import linalg
             r1 = linalg.rank(i_star)
             r2 = linalg.rank(a_star)
             r3 = linalg.rank(delta)
@@ -589,56 +582,22 @@ def pair_tangent_spaces(X: GluedScheme, F: LocallyFreeSheaf,
 
 def _induced_map(src_qc: QComplex, tgt_qc: QComplex, mats: dict, p: int):
     """Induced map on H^p along a chain map given by per-degree matrices."""
-    from . import linalg
-    sreps = src_qc.cohomology_basis(p)
-    treps = tgt_qc.cohomology_basis(p)
-    timage = []
-    if tgt_qc.dims.get(p - 1, 0):
-        dm = tgt_qc.matrix(p - 1)
-        for j in range(tgt_qc.dims[p - 1]):
-            timage.append([dm[i][j] for i in range(tgt_qc.dims.get(p, 0))])
-    cols = []
-    for v in sreps:
-        img = linalg.mat_vec(mats[p], v) if v else \
-            [Fraction(0)] * len(mats[p])
-        basis_rows = [list(r) for r in treps] + timage
-        sol = linalg.solve([list(c) for c in zip(*basis_rows)] if basis_rows else [],
-                           img)
-        if sol is None:
-            raise CechError("chain map image is not a cocycle class")
-        cols.append(sol[:len(treps)])
-    return [[cols[j][i] for j in range(len(cols))] for i in range(len(treps))]
+    images = [linalg.mat_vec(mats[p], v) for v in src_qc.cohomology_basis(p)]
+    return tgt_qc.cohomology_coords(p, images)
 
 
 def _connecting_map(sub_qc, tot_qc, quot_qc, incl, proj, p):
     """Snake connecting H^p(quot) -> H^{p+1}(sub) for a degreewise-split
     short exact sequence of complexes given by inclusion/projection."""
-    from . import linalg
-    qreps = quot_qc.cohomology_basis(p)
-    sreps = sub_qc.cohomology_basis(p + 1)
-    simage = []
-    if sub_qc.dims.get(p, 0):
-        dm = sub_qc.matrix(p)
-        for j in range(sub_qc.dims[p]):
-            simage.append([dm[i][j] for i in range(sub_qc.dims.get(p + 1, 0))])
-    cols = []
     # splitting: lift a quotient vector through proj using the coordinate
     # structure (proj has a right inverse with 0/1 entries)
     lift = _right_inverse_01(proj[p], tot_qc.dims.get(p, 0))
     incl_left = _left_inverse_01(incl.get(p + 1, []), sub_qc.dims.get(p + 1, 0),
                                  tot_qc.dims.get(p + 1, 0))
-    for v in qreps:
-        lifted = linalg.mat_vec(lift, v) if v else [Fraction(0)] * tot_qc.dims.get(p, 0)
-        dx = linalg.mat_vec(tot_qc.matrix(p), lifted) if tot_qc.dims.get(p + 1, 0) else []
-        pulled = linalg.mat_vec(incl_left, dx) if dx else \
-            [Fraction(0)] * sub_qc.dims.get(p + 1, 0)
-        basis_rows = [list(r) for r in sreps] + simage
-        sol = linalg.solve([list(c) for c in zip(*basis_rows)] if basis_rows else [],
-                           pulled)
-        if sol is None:
-            raise CechError("connecting image is not a cocycle class")
-        cols.append(sol[:len(sreps)])
-    return [[cols[j][i] for j in range(len(cols))] for i in range(len(sreps))]
+    pulled = [linalg.mat_vec(incl_left, linalg.mat_vec(tot_qc.matrix(p),
+                                                       linalg.mat_vec(lift, v)))
+              for v in quot_qc.cohomology_basis(p)]
+    return sub_qc.cohomology_coords(p + 1, pulled)
 
 
 def _right_inverse_01(m, ncols):

@@ -10,19 +10,18 @@ delta(f) = d o f - (-1)^{|f|} f o d, and the bracket is the graded commutator
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from . import linalg
 from . import matrices as mat
-from .groebner import syzygies, solve_in_image, vec_is_zero
+from .groebner import syzygies, solve_in_image
 from .modules import FPModule, FreeComplex, ModuleMap
-from .pairs import (AutomorphismPair, DerivationPair, PairError,
-                    check_derivation_pair, derivation_module,
-                    exp_pair, log_auto, tensor_hom_transfer, trace_pair)
+from .pairs import (DerivationPair, PairError, check_derivation_pair,
+                    tensor_hom_transfer, trace_pair)
 from .poly import PolyRing, Polynomial
-from .rings import ExtendedRing, QuotientRing
+from .rings import QuotientRing
 
 
 class DGLAError(ValueError):
@@ -74,6 +73,14 @@ class QComplex:
     def cohomology(self):
         return {k: self.cohomology_dim(k) for k in sorted(self.dims)}
 
+    def _boundary_rows(self, k):
+        """d(e_j) for the basis e_j of C^{k-1}, as rows of length dims[k]."""
+        if not self.dims.get(k - 1, 0):
+            return []
+        dm = self.matrix(k - 1)
+        return [[dm[i][j] for i in range(self.dims.get(k, 0))]
+                for j in range(self.dims[k - 1])]
+
     def cohomology_basis(self, k):
         """Representatives of a basis of H^k as coordinate vectors."""
         dk = self.dims.get(k, 0)
@@ -83,18 +90,26 @@ class QComplex:
             kernel = linalg.nullspace(self.matrix(k))
         else:
             kernel = [list(r) for r in linalg.identity(dk)]
-        image_rows = []
-        if self.dims.get(k - 1, 0):
-            dm = self.matrix(k - 1)
-            for j in range(self.dims[k - 1]):
-                image_rows.append([dm[i][j] for i in range(dk)])
         reps = []
-        current = [r for r in linalg.rref(image_rows)[0]]
+        current = linalg.rref(self._boundary_rows(k))[0]
         for v in kernel:
             if not linalg.row_space_contains(current, v):
                 reps.append(v)
                 current = current + [v]
         return reps
+
+    def cohomology_coords(self, k, cocycles):
+        """Column j holds the coordinates of the class of cocycles[j] in the
+        basis cohomology_basis(k); raises DGLAError on a non-cocycle."""
+        reps = self.cohomology_basis(k)
+        system = [list(col) for col in zip(*(reps + self._boundary_rows(k)))]
+        cols = []
+        for v in cocycles:
+            sol = linalg.solve(system, v)
+            if sol is None:
+                raise DGLAError("vector is not a cocycle of the complex")
+            cols.append(sol[:len(reps)])
+        return [[col[i] for col in cols] for i in range(len(reps))]
 
 
 def complex_cohomology(dims: dict, maps: dict):
@@ -714,9 +729,6 @@ class TraceData:
     """The trace on Hom* and its pair-level extension to the determinant line."""
 
     source: PairComplexDGLA
-
-    def hom_trace(self, f: GradedMap):
-        return self.source.hom.trace(f)
 
     def pair_trace(self, chain: PairChain) -> DerivationPair:
         """Compose per-degree pair traces, transposing odd degrees, into the

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .poly import (GREVLEX, MonomialOrder, PolyRing, Polynomial,
-                   mono_div, mono_lcm, mono_mul)
+from .poly import (MonomialOrder, PolyRing, Polynomial, mono_div, mono_lcm,
+                   mono_mul)
 
 
 class CapacityError(RuntimeError):
@@ -150,9 +150,6 @@ def vec_zero(ring: PolyRing, n: int) -> tuple:
 
 def vec_is_zero(v) -> bool:
     return all(p.is_zero() for p in v)
-
-def vec_add(u, v) -> tuple:
-    return tuple(a + b for a, b in zip(u, v))
 
 def vec_sub(u, v) -> tuple:
     return tuple(a - b for a, b in zip(u, v))

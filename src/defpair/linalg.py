@@ -11,7 +11,7 @@ from typing import Optional
 
 
 def _clone(rows):
-    return [list(map(Fraction, r)) for r in rows]
+    return [[x if type(x) is Fraction else Fraction(x) for x in r] for r in rows]
 
 
 def rref(rows):
@@ -28,7 +28,8 @@ def rref(rows):
             continue
         m[r], m[pivot] = m[pivot], m[r]
         pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
+        if pv != 1:
+            m[r] = [x / pv for x in m[r]]
         for i in range(len(m)):
             if i != r and m[i][c] != 0:
                 f = m[i][c]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .rings import QuotientRing, RingError
+from .rings import RingError
 
 
 def zero_matrix(ring, nrows, ncols):
@@ -66,11 +66,6 @@ def mat_from_columns(ring, columns, nrows=None):
     return [[columns[j][i] for j in range(len(columns))] for i in range(nrows)]
 
 
-def mat_transpose(a):
-    n, m = mat_shape(a)
-    return [[a[i][j] for i in range(n)] for j in range(m)]
-
-
 def mat_is_zero(a):
     return all(x.is_zero() for row in a for x in row)
 
@@ -113,17 +108,6 @@ def det(ring, a):
         return ring.nf(acc)
 
     return rec(tuple(range(n)), tuple(range(n)))
-
-
-def minors(ring, a, size):
-    """All size x size minors, rows and columns in lexicographic subset order."""
-    n, m = mat_shape(a)
-    out = []
-    for rows in combinations(range(n), size):
-        for cols in combinations(range(m), size):
-            sub = [[a[i][j] for j in cols] for i in rows]
-            out.append(det(ring, sub))
-    return out
 
 
 def exterior_matrix(ring, a, size):

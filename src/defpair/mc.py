@@ -13,22 +13,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from . import linalg
 from . import matrices as mat
 from .dgla import (GradedMap, HomComplexDGLA, PairChain, PairComplexDGLA,
-                   QComplex, TableDGLA, TElt, DGLAError)
-from .pairs import AutomorphismPair, PairError, exp_pair, log_auto
+                   TableDGLA, TElt, DGLAError)
+from .pairs import exp_pair, exp_weight, log_auto, log_weight, nilpotent_series
 from .poly import Polynomial
-from .rings import ArtinAlgebra, ExtendedRing, QuotientRing
+from .rings import ArtinAlgebra, ExtendedRing
 
 
 class MCError(ValueError):
     pass
-
-
-MAX_SERIES = 64
 
 
 # ---------------------------------------------------------------------------
@@ -88,21 +84,18 @@ class TableContext:
         return acc
 
     def _unrep(self, matrix) -> TElt:
-        """Solve sum_i c_i rep_i = matrix for the coefficients c_i."""
+        """Solve sum_i c_i rep_i = matrix for the coefficients c_i, one QQ
+        system per coordinate in the monomial basis of A."""
         idx = sorted(self.L.rep)
         n = len(matrix)
-        rows = []
-        rhs = []
-        for a in range(n):
-            for b in range(n):
-                rows.append([Fraction(self.L.rep[i][a][b]) for i in idx])
-                rhs.append(matrix[a][b])
-        coeffs = _solve_rational_rows_ring_rhs(rows, rhs, self.A)
-        if coeffs is None:
+        rows = [[self.L.rep[i][a][b] for i in idx] for a in range(n) for b in range(n)]
+        rhs = [self.A.element_coords(matrix[a][b]) for a in range(n) for b in range(n)]
+        sols = [linalg.solve(rows, [v[t] for v in rhs]) for t in range(self.A.dim)]
+        if None in sols:
             raise MCError("operator log left the representation image")
         out = [self.A.zero()] * self.L.dim(0)
         for pos, i in enumerate(idx):
-            out[i] = coeffs[pos]
+            out[i] = self.A.element([sol[pos] for sol in sols])
         return TElt(0, tuple(out))
 
     def exp_action(self, x: TElt):
@@ -116,72 +109,22 @@ class TableContext:
         return self._unrep(_mat_log_unipotent(self.A, prod))
 
 
-def _solve_rational_rows_ring_rhs(rows, rhs, ring):
-    """Solve A c = rhs with A rational and rhs in a ring; None if inconsistent."""
-    ncols = len(rows[0]) if rows else 0
-    aug = [list(map(Fraction, r)) for r in rows]
-    vals = [ring.nf(v) for v in rhs]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        vals[r], vals[piv] = vals[piv], vals[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        vals[r] = ring.nf(vals[r] * Fraction(1, 1) * Fraction(pv.denominator, pv.numerator)) \
-            if pv != 1 else vals[r]
-        for i in range(len(aug)):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-                vals[i] = ring.nf(vals[i] - vals[r] * f)
-        pivots.append(c)
-        r += 1
-    sol = [ring.zero()] * ncols
-    for t, pc in enumerate(pivots):
-        sol[pc] = vals[t]
-    # consistency: zero rows must have zero rhs
-    for i in range(len(aug)):
-        if all(x == 0 for x in aug[i]) and not vals[i].is_zero():
-            return None
-    return sol
+def _mat_series(ring, acc, v, right, weight):
+    """acc + sum_{n>=1} weight(n) * v right^n over ring matrices."""
+    return nilpotent_series(acc, v, lambda m: mat.mat_mul(ring, m, right), weight,
+                            lambda x, y: mat.mat_add(ring, x, y),
+                            lambda c, m: mat.mat_scale(ring, ring.const(c), m),
+                            mat.mat_is_zero)
 
 
 def _mat_exp_nilpotent(ring, a):
-    n = len(a)
-    acc = mat.identity_matrix(ring, n)
-    term = mat.identity_matrix(ring, n)
-    k = 1
-    while True:
-        term = mat.mat_scale(ring, ring.const(Fraction(1, k)),
-                             mat.mat_mul(ring, term, a))
-        if mat.mat_is_zero(term):
-            return acc
-        acc = mat.mat_add(ring, acc, term)
-        k += 1
-        if k > MAX_SERIES:
-            raise MCError("matrix exponential did not truncate")
+    one = mat.identity_matrix(ring, len(a))
+    return _mat_series(ring, one, one, a, exp_weight)
 
 
 def _mat_log_unipotent(ring, a):
-    n = len(a)
-    delta = mat.mat_sub(ring, a, mat.identity_matrix(ring, n))
-    acc = mat.zero_matrix(ring, n, n)
-    power = mat.identity_matrix(ring, n)
-    k = 1
-    while True:
-        power = mat.mat_mul(ring, power, delta)
-        if mat.mat_is_zero(power):
-            return acc
-        acc = mat.mat_add(ring, acc,
-                          mat.mat_scale(ring, ring.const(Fraction((-1) ** (k + 1), k)),
-                                        power))
-        k += 1
-        if k > MAX_SERIES:
-            raise MCError("matrix logarithm did not truncate")
+    delta = mat.mat_sub(ring, a, mat.identity_matrix(ring, len(a)))
+    return _mat_series(ring, delta, delta, delta, lambda n: log_weight(n + 1))
 
 
 class HomContext:
@@ -369,17 +312,9 @@ def gauge_act(ctx, a, x, check: bool = True):
         raise MCError("gauge needs a degree-0 actor and a degree-1 element")
     was_mc = mc_check(ctx, x) if check else False
     y = ctx.sub(ctx.bracket(a, x), ctx.d(a))
-    acc = ctx.add(x, y)
-    term = y
-    n = 1
-    while True:
-        term = ctx.scale(Fraction(1, n + 1), ctx.bracket(a, term))
-        if ctx.is_zero(term):
-            break
-        acc = ctx.add(acc, term)
-        n += 1
-        if n > MAX_SERIES:
-            raise MCError("gauge series did not truncate")
+    acc = nilpotent_series(ctx.add(x, y), y, lambda t: ctx.bracket(a, t),
+                           lambda n: exp_weight(n + 1), ctx.add, ctx.scale,
+                           ctx.is_zero)
     if check and was_mc and not mc_check(ctx, acc):
         raise MCError("gauge action failed to preserve Maurer-Cartan")
     return acc
@@ -441,26 +376,9 @@ class DGLAMorphism:
 
     def induced_cohomology_map(self, k):
         """Matrix of H^k(source) -> H^k(target) in representative bases."""
-        sq, tq = self.source.qcomplex(), self.target.qcomplex()
-        sreps = sq.cohomology_basis(k)
-        treps = tq.cohomology_basis(k)
-        timage = []
-        if self.target.dim(k - 1):
-            dm = tq.matrix(k - 1)
-            for j in range(self.target.dim(k - 1)):
-                timage.append([dm[i][j] for i in range(self.target.dim(k))])
-        cols = []
-        for v in sreps:
-            img = linalg.mat_vec(self.matrix(k), v) if self.source.dim(k) else []
-            # express img in treps modulo the image rows
-            unknown_rows = [list(r) for r in treps] + timage
-            sol = linalg.solve([list(col) for col in zip(*unknown_rows)] if unknown_rows else [],
-                               img)
-            if sol is None:
-                raise DGLAError("image is not a cocycle class")
-            cols.append(sol[:len(treps)])
-        out = [[cols[j][i] for j in range(len(cols))] for i in range(len(treps))]
-        return out
+        images = [linalg.mat_vec(self.matrix(k), v)
+                  for v in self.source.qcomplex().cohomology_basis(k)]
+        return self.target.qcomplex().cohomology_coords(k, images)
 
 
 def functor_iso_criterion(phi: DGLAMorphism) -> dict:

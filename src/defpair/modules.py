@@ -14,7 +14,6 @@ from typing import Iterable, Optional
 from . import matrices as mat
 from .groebner import (CapacityError, ModuleBasis, solve_in_image, syzygies,
                        vec_is_zero)
-from .poly import Polynomial
 from .rings import ArtinAlgebra, ExtendedRing, Ideal, QuotientRing, RingError, extend_ring
 
 
@@ -252,7 +251,7 @@ def fitting_ideal(M: FPModule, i: int) -> Ideal:
     nrows, ncols = M.ngens, len(M.relations)
     if size > min(nrows, ncols):
         return ring.ideal([])
-    return ring.ideal(mat.minors(ring, a, size))
+    return ring.ideal([x for row in mat.exterior_matrix(ring, a, size) for x in row])
 
 
 def fitting_chain(M: FPModule) -> list:
@@ -401,8 +400,3 @@ def tensor_with_artin(obj, A: ArtinAlgebra):
                  for k, a in obj.diffs.items()}
         return FreeComplex(E, dict(obj.ranks), diffs)
     raise TypeError(f"cannot extend {type(obj).__name__}")
-
-
-def reduce_element_to_base(E: ExtendedRing, base_module: FPModule, vec):
-    """Project an element of M (x) A back to M by killing the maximal ideal."""
-    return base_module.nf(tuple(E.reduce_to_base(p) for p in vec))

@@ -16,13 +16,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import factorial
 from typing import Optional
 
 from . import matrices as mat
-from .groebner import syzygies, solve_in_image, vec_is_zero
+from .groebner import (CapacityError, syzygies, solve_in_image, vec_is_zero,
+                       vec_scale)
 from .modules import (FPModule, FreeComplex, ModuleMap, fitting_ideal,
                       kaehler_differentials)
-from .rings import ExtendedRing, QuotientRing, RingError
+from .poly import Polynomial
+from .rings import ExtendedRing, QuotientRing
 
 
 class PairError(ValueError):
@@ -185,16 +188,6 @@ def derivation_module(R: QuotientRing) -> list:
     return out
 
 
-def derivation_in_span(R: QuotientRing, gens: list, h_values) -> Optional[tuple]:
-    """Coefficients expressing h in the R-span of `gens` (None if outside)."""
-    amb = R.ambient
-    sol = solve_in_image(amb, [tuple(g) for g in gens], tuple(h_values),
-                         ideal_gens=R.gb, caps=R.caps)
-    if sol is None:
-        return None
-    return tuple(R.nf(p) for p in sol)
-
-
 @dataclass
 class PairModule:
     """Generators of D(R, M) with the anchor-sequence bookkeeping."""
@@ -204,13 +197,6 @@ class PairModule:
     generators: list          # DerivationPair
     hom_generators: list      # anchor-zero pairs spanning Hom_R(M, M)
     der_generators: list      # h-value tuples spanning Der(R)
-
-    def anchor_matrix(self):
-        """Columns express each generator's anchor over der_generators."""
-        cols = []
-        for p in self.generators:
-            cols.append(derivation_in_span(self.ring, self.der_generators, p.h_values))
-        return cols
 
     def contains(self, pair: DerivationPair) -> Optional[tuple]:
         """Coefficients over the generators, or None."""
@@ -640,6 +626,42 @@ def lift_to_resolution(p: DerivationPair, cx: FreeComplex, aug: ModuleMap) -> di
 # automorphism pairs, exponential and logarithm
 # ---------------------------------------------------------------------------
 
+MAX_SERIES = 64
+
+
+def nilpotent_series(acc, v, step, weight, add, scale, is_zero):
+    """acc + sum_{n>=1} weight(n) * step^n(v) for a nilpotent linear `step`.
+
+    The sum stops at the first vanishing power; raises CapacityError when
+    step^MAX_SERIES(v) is still nonzero.
+    """
+    power = v
+    for n in range(1, MAX_SERIES + 1):
+        power = step(power)
+        if is_zero(power):
+            return acc
+        acc = add(acc, scale(weight(n), power))
+    raise CapacityError(f"capacity: series longer than {MAX_SERIES} terms")
+
+
+def exp_weight(n):
+    return Fraction(1, factorial(n))
+
+
+def log_weight(n):
+    return Fraction((-1) ** (n + 1), n)
+
+
+# A rational multiple of a normal form is one, so only sums are reduced.
+def _ring_series(R, acc, v, step, weight):
+    return nilpotent_series(acc, v, step, weight, lambda x, y: R.nf(x + y),
+                            lambda c, p: p * c, Polynomial.is_zero)
+
+
+def _module_series(M, acc, v, step, weight):
+    return nilpotent_series(acc, v, step, weight, M.add, vec_scale, vec_is_zero)
+
+
 @dataclass(frozen=True)
 class AutomorphismPair:
     """(theta, phi) over an extended ring, reducing to the identity mod m_A."""
@@ -725,43 +747,22 @@ def _require_nilpotent(pair: DerivationPair):
                 raise PairError("u value has a nonzero reduction mod m_A")
 
 
-def exp_pair(pair: DerivationPair, max_iter: int = 64) -> AutomorphismPair:
+def exp_pair(pair: DerivationPair) -> AutomorphismPair:
     """exp(h, u) as an automorphism pair; exact, truncated by nilpotency."""
     _require_nilpotent(pair)
     R, M = pair.ring, pair.module
-    theta = []
-    for i in range(R.nvars):
-        acc = R.var(i)
-        term = R.var(i)
-        n = 1
-        while True:
-            term = R.nf(pair.apply_h(term) * Fraction(1, n))
-            if term.is_zero():
-                break
-            acc = R.nf(acc + term)
-            n += 1
-            if n > max_iter:
-                raise PairError("exponential did not truncate")
-        theta.append(acc)
-    phi = []
-    for j in range(M.ngens):
-        acc = M.gen(j)
-        term = M.gen(j)
-        n = 1
-        while True:
-            term = M.scale(Fraction(1, n), pair.apply_u(term))
-            if vec_is_zero(term):
-                break
-            acc = M.add(acc, term)
-            n += 1
-            if n > max_iter:
-                raise PairError("exponential did not truncate")
-        phi.append(acc)
-    return check_automorphism_pair(R, M, tuple(theta), tuple(phi))
+    theta = tuple(_ring_series(R, R.var(i), R.var(i), pair.apply_h, exp_weight)
+                  for i in range(R.nvars))
+    phi = tuple(_module_series(M, M.gen(j), M.gen(j), pair.apply_u, exp_weight)
+                for j in range(M.ngens))
+    return check_automorphism_pair(R, M, theta, phi)
 
 
-def log_auto(a: AutomorphismPair, max_iter: int = 64) -> DerivationPair:
-    """Logarithm of an automorphism pair lifting the identity; exact."""
+def log_auto(a: AutomorphismPair) -> DerivationPair:
+    """Logarithm of an automorphism pair lifting the identity; exact.
+
+    log(1 + D) = sum_{n>=1} (-1)^(n+1) D^n / n, started at its first term.
+    """
     R, M = a.ring, a.module
 
     def delta_ring(p):
@@ -770,34 +771,17 @@ def log_auto(a: AutomorphismPair, max_iter: int = 64) -> DerivationPair:
     def delta_mod(vec):
         return M.sub(a.apply_phi(vec), vec)
 
+    def weight(n):
+        return log_weight(n + 1)
+
     h_values = []
     for i in range(R.nvars):
-        term = delta_ring(R.var(i))
-        acc = term
-        n = 2
-        while True:
-            term = delta_ring(term)
-            if term.is_zero():
-                break
-            acc = R.nf(acc + term * Fraction((-1) ** (n + 1), n))
-            n += 1
-            if n > max_iter:
-                raise PairError("logarithm did not truncate")
-        h_values.append(acc)
+        first = delta_ring(R.var(i))
+        h_values.append(_ring_series(R, first, first, delta_ring, weight))
     u_values = []
     for j in range(M.ngens):
-        term = delta_mod(M.gen(j))
-        acc = term
-        n = 2
-        while True:
-            term = delta_mod(term)
-            if vec_is_zero(term):
-                break
-            acc = M.add(acc, M.scale(Fraction((-1) ** (n + 1), n), term))
-            n += 1
-            if n > max_iter:
-                raise PairError("logarithm did not truncate")
-        u_values.append(acc)
+        first = delta_mod(M.gen(j))
+        u_values.append(_module_series(M, first, first, delta_mod, weight))
     return check_derivation_pair(R, M, tuple(h_values), tuple(u_values))
 
 

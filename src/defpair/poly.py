@@ -136,10 +136,13 @@ class PolyRing:
         return sum(e * w for e, w in zip(m, self.weights))
 
     # -- parsing (used by tests and the CLI) --------------------------
-    _token_re = re.compile(r"\s*(\d+/\d+|\d+|[A-Za-z_][A-Za-z_0-9]*|\*\*|[-+*^()])")
+    _token_re = re.compile(r"\s*(\d+\s*/\s*\d+|\d+|[A-Za-z_][A-Za-z_0-9]*|\*\*|[-+*^()])")
 
     def parse(self, text: str) -> "Polynomial":
-        """Parse '+ - * ^' expressions like 'y^2 - x^3' or '3/2*x*y'."""
+        """Parse '+ - * ^' expressions like 'y^2 - x^3' or '3/2*x*y'.
+
+        A rational literal may have spaces around its '/' ('3 / 2').
+        """
         tokens = []
         pos = 0
         while pos < len(text):
@@ -148,7 +151,7 @@ class PolyRing:
                 if text[pos:].strip() == "":
                     break
                 raise PolyError(f"cannot tokenize {text[pos:]!r}")
-            tok = m.group(1)
+            tok = re.sub(r"\s+", "", m.group(1))
             tokens.append("^" if tok == "**" else tok)
             pos = m.end()
         tokens.append(None)  # sentinel
@@ -170,7 +173,10 @@ class PolyRing:
                 advance()
             elif tok is not None and re.fullmatch(r"\d+/\d+|\d+", tok):
                 advance()
-                p = self.const(Fraction(tok))
+                try:
+                    p = self.const(Fraction(tok))
+                except ZeroDivisionError:
+                    raise PolyError(f"zero denominator in {tok!r}") from None
             elif tok is not None and re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", tok):
                 if tok not in self.variables:
                     raise PolyError(f"unknown variable {tok!r}")

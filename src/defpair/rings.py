@@ -16,13 +16,13 @@ positive degree in the A block of every term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
 from . import linalg
 from .groebner import (Caps, DEFAULT_CAPS, groebner_basis, poly_reduce)
-from .poly import GREVLEX, MonomialOrder, PolyRing, Polynomial, mono_div
+from .poly import GREVLEX, PolyRing, Polynomial, mono_div
 
 
 class RingError(ValueError):
@@ -213,6 +213,7 @@ class ArtinAlgebra(QuotientRing):
             raise ArtinError(f"not local with residue QQ: {e}") from e
         self.basis = self._standard_monomials()
         self.dim = len(self.basis)
+        self._basis_pos = {m: i for i, m in enumerate(self.basis)}
         self.m_basis = [m for m in self.basis if sum(m) > 0]
         self.index = self._nilpotency_index()
 
@@ -242,34 +243,22 @@ class ArtinAlgebra(QuotientRing):
 
     def _nilpotency_index(self):
         # chain of ideal powers m >= m^2 >= ... computed as exact QQ-spans
-        pos = {m: i for i, m in enumerate(self.basis)}
-
-        def coords(p):
-            v = [Fraction(0)] * self.dim
-            for m, c in p.terms.items():
-                v[pos[m]] = c
-            return v
-
-        def elem(v):
-            terms = {m: c for m, c in zip(self.basis, v) if c != 0}
-            return Polynomial(self.ambient, terms)
-
         # the maximal ideal as an ideal: spanned by b*t_i over all basis b
         power = []
         for b in self.basis:
             for i in range(self.nvars):
                 p = self.nf(self.ambient.monomial(b) * self.ambient.var(i))
                 if not p.is_zero():
-                    power.append(coords(p))
+                    power.append(self.element_coords(p))
         power, _ = linalg.rref(power)
         k = 1
         while power:
             nxt = []
             for w in power:
                 for i in range(self.nvars):
-                    p = self.nf(elem(w) * self.ambient.var(i))
+                    p = self.nf(self.element(w) * self.ambient.var(i))
                     if not p.is_zero():
-                        nxt.append(coords(p))
+                        nxt.append(self.element_coords(p))
             nxt, _ = linalg.rref(nxt)
             if len(nxt) == len(power):
                 raise ArtinError("not Artin local: the maximal ideal is not nilpotent")
@@ -279,11 +268,15 @@ class ArtinAlgebra(QuotientRing):
 
     def element_coords(self, p: Polynomial):
         """Coordinates of a normal-form element in the monomial basis."""
-        pos = {m: i for i, m in enumerate(self.basis)}
         v = [Fraction(0)] * self.dim
         for m, c in p.terms.items():
-            v[pos[m]] = c
+            v[self._basis_pos[m]] = c
         return v
+
+    def element(self, coords) -> Polynomial:
+        """The element with the given monomial-basis coordinates."""
+        return Polynomial(self.ambient,
+                          {m: c for m, c in zip(self.basis, coords) if c != 0})
 
     def __repr__(self):
         return f"Artin({super().__repr__()}, dim={self.dim}, N={self.index})"

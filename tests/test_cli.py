@@ -148,12 +148,20 @@ def test_fail_fast():
     assert len(reports) == 1
 
 
-def test_parallel_matches_sequential():
-    text = ("ring R = QQ[x]; module M over R = coker [[x]];"
-            "cmd fitting M; cmd resolution M; cmd cech-cohomology P1 O;")
-    seq = run(parse_script(text))
-    par = run(parse_script(text), parallel=True)
-    assert [r.payload for r in seq] == [r.payload for r in par]
+def test_wrong_object_kind_keeps_later_reports():
+    reports = run_script("ring R = QQ[x]; cmd groebner R; cmd cech-cohomology P1 O;")
+    assert [r.status for r in reports] == ["error", "ok"]
+    assert reports[0].payload["message"].startswith("'R' is not")
+
+
+def test_rational_coefficients_in_scripts():
+    reports = run_script("ring S = QQ[x,y]/(x^2 - 1/2); ideal I in S = (y - 3/4);"
+                         "cmd groebner I;")
+    assert reports[0].status == "ok"
+    assert reports[0].payload["basis"] == ["x^2 - 1/2", "y - 3/4"]
+    bad = run_script("ring S = QQ[x]/(x - 1/0); cmd cech-cohomology P1 O;")
+    assert [r.status for r in bad] == ["error", "ok"]
+    assert "zero denominator" in bad[0].payload["message"]
 
 
 # -- rendering ------------------------------------------------------------------

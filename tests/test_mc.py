@@ -7,6 +7,7 @@ import pytest
 
 from defpair.dgla import (TableDGLA, abelian_dgla, hom_complex_dgla,
                           pair_complex_dgla)
+from defpair.groebner import CapacityError
 from defpair.mc import (DGLAMorphism, HomContext, MCError, PairContext,
                         TableContext, bch, functor_iso_criterion, gauge_act,
                         mc_check, mc_residual, tangent_obstruction)
@@ -144,6 +145,15 @@ def test_exp_log_round_trip():
     for _ in range(5):
         a = _rand_actor(E, ctx, e, w, rng)
         assert ctx.H.eq(ctx.log_action(ctx.exp_action(a)), a)
+
+
+def test_exp_series_cap():
+    # over QQ[e]/(e^65) the 64th power of the block [[e]] is still nonzero
+    E, A, ctx = three_term_ctx("e^65")
+    e = E.from_artin(A.var(0))
+    a = ctx.H.from_blocks(0, {0: [[e]]})
+    with pytest.raises(CapacityError, match="series"):
+        ctx.exp_action(a)
 
 
 def test_bch_commuting_is_sum():

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from defpair.groebner import CapacityError
 from defpair.matrices import det, mat_eq
 from defpair.modules import (FPModule, ModuleMap, fitting_ideal,
                              free_resolution, kaehler_differentials,
@@ -356,6 +357,15 @@ def test_exp_requires_nilpotent():
     x = E.from_base(R.var(0))
     p = check_derivation_pair(E, M, (x, E.zero()), (M.zero(), M.zero()))
     with pytest.raises(PairError, match="m_A"):
+        exp_pair(p)
+
+
+def test_exp_series_cap():
+    # u(e_1) = e*e_1 over QQ[e]/(e^65): the 64th power of u is still nonzero
+    R, A, E, M = _extended_setup("e^65")
+    e = E.from_artin(A.var(0))
+    p = check_derivation_pair(E, M, (E.zero(), E.zero()), ((e, E.zero()), M.zero()))
+    with pytest.raises(CapacityError, match="series"):
         exp_pair(p)
 
 

@@ -26,6 +26,8 @@ def test_parse_rationals(Rxy):
     p = Rxy.parse("3/2*x*y - 2")
     assert p.terms[(1, 1)] == Fraction(3, 2)
     assert p.constant_term() == -2
+    # the script tokenizer hands polynomials over with spaces between tokens
+    assert Rxy.parse("3 / 2 * x * y - 2") == p
 
 
 def test_parse_errors(Rxy):
@@ -33,6 +35,8 @@ def test_parse_errors(Rxy):
         Rxy.parse("x + z")
     with pytest.raises(PolyError):
         Rxy.parse("x +")
+    with pytest.raises(PolyError, match="zero denominator"):
+        Rxy.parse("1/0*x")
 
 
 def test_zero_coefficients_dropped(Rxy):
