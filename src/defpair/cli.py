@@ -554,7 +554,7 @@ class Session:
             raise ScriptError(f"unknown name {name!r}")
         obj = self.objects[name]
         if cls is not None and not isinstance(obj, cls):
-            raise ScriptError(f"{name!r} is not a {cls.__name__}")
+            raise ScriptError(f"{name!r} is a {type(obj).__name__}, expected {cls.__name__}")
         return obj
 
     # -- commands --------------------------------------------------------------

@@ -559,23 +559,18 @@ def pair_tangent_spaces(X: GluedScheme, F: LocallyFreeSheaf,
                 if gen == 0:
                     mp[tpos[(tup, (mono, 0))]][c] = Fraction(1)
             proj[p] = mp
+        i_ranks = [linalg.rank(_induced_map(qe, qt, incl, p)) for p in range(max_p + 1)]
         for p in range(max_p + 1):
-            re_, rt_, rth_ = (qe.cohomology_dim(p), qt.cohomology_dim(p),
-                              qth.cohomology_dim(p))
-            i_star = _induced_map(qe, qt, incl, p)
-            a_star = _induced_map(qt, qth, proj, p)
-            delta = _connecting_map(qe, qt, qth, incl, proj, p)
-            r1 = linalg.rank(i_star)
-            r2 = linalg.rank(a_star)
-            r3 = linalg.rank(delta)
+            rt_, rth_ = qt.cohomology_dim(p), qth.cohomology_dim(p)
+            r1 = i_ranks[p]
+            r2 = linalg.rank(_induced_map(qt, qth, proj, p))
+            r3 = linalg.rank(_connecting_map(qe, qt, qth, incl, proj, p))
             if r1 + r2 != rt_:
                 exact = False
             if r2 + r3 != rth_:
                 exact = False
-            if p + 1 <= max_p:
-                nxt = linalg.rank(_induced_map(qe, qt, incl, p + 1))
-                if r3 + nxt != qe.cohomology_dim(p + 1):
-                    exact = False
+            if p + 1 <= max_p and r3 + i_ranks[p + 1] != qe.cohomology_dim(p + 1):
+                exact = False
     return {"T": t_out["dims"], "ext": ext_out["dims"], "theta": th_out["dims"],
             "les_exact": exact}
 

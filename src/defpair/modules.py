@@ -12,8 +12,8 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from . import matrices as mat
-from .groebner import (CapacityError, ModuleBasis, solve_in_image, syzygies,
-                       vec_is_zero)
+from .groebner import (CapacityError, ModuleBasis, ideal_rows, solve_in_image,
+                       syzygies, vec_is_zero)
 from .rings import ArtinAlgebra, ExtendedRing, Ideal, QuotientRing, RingError, extend_ring
 
 
@@ -57,12 +57,7 @@ class FPModule:
     def _module_basis(self) -> ModuleBasis:
         if self._mb is None:
             amb = self.ring.ambient
-            gens = list(self.relations)
-            for g in self.ring.gb:
-                for i in range(self.ngens):
-                    col = [amb.zero()] * self.ngens
-                    col[i] = g
-                    gens.append(tuple(col))
+            gens = list(self.relations) + ideal_rows(amb, self.ring.gb, self.ngens, self.ngens)
             self._mb = ModuleBasis(amb, self.ngens, gens, caps=self.ring.caps)
         return self._mb
 

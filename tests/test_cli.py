@@ -151,7 +151,7 @@ def test_fail_fast():
 def test_wrong_object_kind_keeps_later_reports():
     reports = run_script("ring R = QQ[x]; cmd groebner R; cmd cech-cohomology P1 O;")
     assert [r.status for r in reports] == ["error", "ok"]
-    assert reports[0].payload["message"].startswith("'R' is not")
+    assert reports[0].payload["message"] == "'R' is a QuotientRing, expected Ideal"
 
 
 def test_rational_coefficients_in_scripts():

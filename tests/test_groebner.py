@@ -2,17 +2,21 @@
 
 The checks against `groebner_basis` use an independent reducer
 (`slow_reduce` below) so the verified property does not depend on the code
-path under test.
+path under test; the differential test compares reduced bases with sympy's
+when sympy is installed.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from defpair.groebner import (CapacityError, Caps, ModuleBasis, groebner_basis,
                               ideal_contains, poly_reduce, solve_in_image,
-                              submodule_contains, syzygies, vec_is_zero)
-from defpair.poly import LEX, GREVLEX, MonomialOrder, PolyRing, mono_div
+                              submodule_contains, syzygies)
+from defpair.poly import LEX, PolyRing, mono_div, mono_lcm
 
 
 def slow_reduce(p, basis):
@@ -37,8 +41,37 @@ def slow_reduce(p, basis):
 
 
 def spair(f, g):
-    from defpair.groebner import _spoly
-    return _spoly(f, g, f.ring.order)
+    """Reference S-polynomial of f and g."""
+    order = f.ring.order
+    fm, fc = f.lead(order)
+    gm, gc = g.lead(order)
+    lcm = mono_lcm(fm, gm)
+    return f.mul_term(mono_div(lcm, fm), 1 / fc) - g.mul_term(mono_div(lcm, gm), 1 / gc)
+
+
+def cyclic4():
+    R = PolyRing(["a", "b", "c", "d"])
+    a, b, c, d = R.gens()
+    return [a + b + c + d, a * b + b * c + c * d + d * a,
+            a * b * c + b * c * d + c * d * a + d * a * b, a * b * c * d - 1]
+
+
+def katsura3():
+    R = PolyRing(["u0", "u1", "u2", "u3"])
+    u0, u1, u2, u3 = R.gens()
+    return [u0 + 2 * u1 + 2 * u2 + 2 * u3 - 1,
+            u0 * u0 + 2 * u1 * u1 + 2 * u2 * u2 + 2 * u3 * u3 - u0,
+            2 * u0 * u1 + 2 * u1 * u2 + 2 * u2 * u3 - u1,
+            2 * u0 * u2 + u1 * u1 + 2 * u1 * u3 - u2]
+
+
+def random_ideal(rng, R):
+    """Three generators of three terms of degree <= 2 in three variables."""
+    monos = [(a, b, c) for a in range(3) for b in range(3) for c in range(3)
+             if a + b + c <= 2]
+    return [sum((R.monomial(m, rng.choice([-3, -2, -1, 1, 2, 3]))
+                 for m in rng.sample(monos, 3)), R.zero())
+            for _ in range(3)]
 
 
 def test_lex_elimination_example():
@@ -167,19 +200,6 @@ def test_module_basis_membership():
     assert not mb.contains((R.one(), R.zero()))
 
 
-def test_reduce_tracked_certificate():
-    R = PolyRing(["x", "y"])
-    x, y = R.gens()
-    gens = [(x, y), (y, x)]
-    mb = ModuleBasis(R, 2, gens, track_reps=True)
-    v = (x * x + y * y, 2 * x * y)
-    r, coeffs = mb.reduce_tracked(v)
-    assert vec_is_zero(r)
-    rebuilt0 = sum((c * g[0] for c, g in zip(coeffs, gens)), R.zero())
-    rebuilt1 = sum((c * g[1] for c, g in zip(coeffs, gens)), R.zero())
-    assert rebuilt0 == v[0] and rebuilt1 == v[1]
-
-
 def test_solve_in_image():
     R = PolyRing(["x"])
     x = R.var(0)
@@ -230,3 +250,58 @@ def test_random_syzygy_completeness():
             acc[0] = acc[0] + s[k] * col[0]
             acc[1] = acc[1] + s[k] * col[1]
         assert acc[0].is_zero() and acc[1].is_zero()
+
+
+def test_ideal_is_the_rank_one_module():
+    lexR = PolyRing(["x", "y"], order=LEX)
+    x, y = lexR.gens()
+    for gens in (cyclic4(), [x * x - 1, x * y - 1]):
+        R = gens[0].ring
+        assert (ModuleBasis(R, 1, [(g,) for g in gens]).basis
+                == [(g,) for g in groebner_basis(gens)])
+
+
+def test_product_criterion_is_rank_one_only():
+    # the leads x*e_0 and y*e_0 are coprime, yet their S-vector
+    # y*(x, y) - x*(y, 0) = (0, y^2) is a new basis element
+    R = PolyRing(["x", "y"])
+    x, y = R.gens()
+    mb = ModuleBasis(R, 2, [(x, y), (y, R.zero())])
+    assert (R.zero(), y * y) in mb.basis
+
+
+def test_reduced_basis_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    R = PolyRing(["x", "y", "z"])
+    rng = random.Random(11)
+    ideals = [cyclic4(), katsura3()] + [random_ideal(rng, R) for _ in range(8)]
+
+    def to_sympy(p, syms):
+        return sum((sympy.Rational(c.numerator, c.denominator)
+                    * sympy.Mul(*(s ** e for s, e in zip(syms, m)))
+                    for m, c in p.terms.items()), sympy.Integer(0))
+
+    for gens in ideals:
+        syms = sympy.symbols(gens[0].ring.variables)
+        oracle = sympy.groebner([to_sympy(g, syms) for g in gens], *syms,
+                                order="grevlex", domain="QQ")
+        expected = {frozenset((tuple(m), Fraction(int(c.p), int(c.q))) for m, c in p.terms())
+                    for p in oracle.polys}
+        got = {frozenset(g.terms.items()) for g in groebner_basis(gens)}
+        assert got == expected
+
+
+_mono = st.tuples(st.integers(0, 2), st.integers(0, 2))
+_terms = st.dictionaries(_mono, st.integers(-3, 3).filter(bool), min_size=1, max_size=3)
+
+
+@given(st.lists(st.tuples(_terms, _terms), min_size=2, max_size=3), st.randoms())
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_basis_does_not_depend_on_generator_order(vectors, rnd):
+    R = PolyRing(["x", "y"])
+    gens = [tuple(sum((R.monomial(m, c) for m, c in t.items()), R.zero()) for t in v)
+            for v in vectors]
+    shuffled = rnd.sample(gens, len(gens))
+    assert ModuleBasis(R, 2, shuffled).basis == ModuleBasis(R, 2, gens).basis
+    assert (groebner_basis([v[0] for v in shuffled])
+            == groebner_basis([v[0] for v in gens]))
