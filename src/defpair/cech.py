@@ -41,7 +41,7 @@ def weight_enumerable(ring: QuotientRing) -> bool:
     w = ring.ambient.weights
     if w is None or any(x == 0 for x in w):
         return False
-    leads = [g.lead(ring.ambient.order)[0] for g in ring.gb]
+    leads = [m for _, m, _ in ring.leads]
     for i in range(ring.nvars):
         for j in range(i + 1, ring.nvars):
             if w[i] * w[j] < 0:
@@ -57,7 +57,7 @@ def weight_monomials(ring: QuotientRing, w: int) -> list:
     if not weight_enumerable(ring):
         raise CechError("cannot truncate: ring lacks usable weight data")
     weights = ring.ambient.weights
-    leads = [g.lead(ring.ambient.order)[0] for g in ring.gb]
+    leads = [m for _, m, _ in ring.leads]
     from .poly import mono_div
     n = ring.nvars
     cap = abs(w)
@@ -311,7 +311,7 @@ class LocallyFreeSheaf:
         mapped = tuple(inc.ring_map(c) for c in coords)
         fa, fb = self.scheme.frame(a), self.scheme.frame(b)
         if fa == fb:
-            return tuple(ring.nf(c) for c in mapped)
+            return mapped
         conv = self.frame_matrix(b, fa)
         return mat.mat_vec(ring, conv, mapped)
 
@@ -354,7 +354,7 @@ class LocallyFreeSheaf:
         pos = {lab: t for t, lab in enumerate(basis)}
         coords = [Fraction(0)] * len(basis)
         for a, p in enumerate(vec):
-            for m, c in ring.nf(p).terms.items():
+            for m, c in p.terms.items():
                 key = (m, a)
                 if key not in pos:
                     raise CechError("section term escapes the weight basis")

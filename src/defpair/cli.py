@@ -32,7 +32,7 @@ from .modules import (FPModule, FreeComplex, fitting_chain, free_resolution,
                       kaehler_differentials)
 from .pairs import derivation_pair_module
 from .poly import PolyRing
-from .rings import Ideal, QuotientRing, make_artin_algebra
+from .rings import ArtinAlgebra, Ideal, QuotientRing, make_artin_algebra
 
 VERSION = "0.1.0"
 SCHEMA = "defpair/1"
@@ -211,6 +211,18 @@ class Parser:
                               tok.line, tok.col)
         return tok
 
+    def expect_int(self, signed=False) -> int:
+        """An integer literal, with a leading '-' when `signed`."""
+        sign = 1
+        if signed and self.peek() is not None and self.peek().text == "-":
+            self.next()
+            sign = -1
+        tok = self.next()
+        if tok.kind != "int":
+            raise ScriptError(f"expected an integer, found {tok.text!r}",
+                              tok.line, tok.col)
+        return sign * int(tok.text)
+
     # -- declarations -------------------------------------------------------
     def _poly_text(self, stop=(",", ")", ";", "]")) -> str:
         parts = []
@@ -296,13 +308,9 @@ class Parser:
         if tok.text == "O":
             if self.peek() and self.peek().text == "(":
                 self.next()
-                sign = 1
-                if self.peek().text == "-":
-                    self.next()
-                    sign = -1
-                k = int(self.next().text)
+                k = self.expect_int(signed=True)
                 self.expect(")")
-                return f"O({sign * k})"
+                return f"O({k})"
             return "O"
         if tok.text == "Theta":
             return "Theta"
@@ -320,13 +328,9 @@ class Parser:
             self.expect("(")
             dims = []
             while True:
-                sign = 1
-                if self.peek().text == "-":
-                    self.next()
-                    sign = -1
-                deg = sign * int(self.next().text)
+                deg = self.expect_int(signed=True)
                 self.expect(":")
-                dims.append((deg, int(self.next().text)))
+                dims.append((deg, self.expect_int()))
                 if self.peek().text == ",":
                     self.next()
                     continue
@@ -405,7 +409,7 @@ def parse_script(text: str) -> SessionScript:
                 rows = parser._matrix_rows()
                 data = {"ring": ring, "shape": "coker", "rows": rows}
             elif shape == "free":
-                rank = int(parser.next().text)
+                rank = parser.expect_int()
                 data = {"ring": ring, "shape": "free", "rank": rank}
             else:
                 raise ScriptError(f"unknown module shape {shape!r}", tok.line, tok.col)
@@ -416,17 +420,9 @@ def parse_script(text: str) -> SessionScript:
             rows = parser._matrix_rows()
             parser.expect("in")
             parser.expect("(")
-            sign = 1
-            if parser.peek().text == "-":
-                parser.next()
-                sign = -1
-            lo = sign * int(parser.next().text)
+            lo = parser.expect_int(signed=True)
             parser.expect(",")
-            if parser.peek().text == "-":
-                parser.next()
-                hi = -int(parser.next().text)
-            else:
-                hi = int(parser.next().text)
+            hi = parser.expect_int(signed=True)
             parser.expect(")")
             if hi != lo + 1:
                 raise ScriptError("two-term complexes need degrees (k, k+1)",
@@ -445,11 +441,7 @@ def parse_script(text: str) -> SessionScript:
             parser.expect("in")
             dgla = parser.expect_name().text
             parser.expect("deg")
-            sign = 1
-            if parser.peek().text == "-":
-                parser.next()
-                sign = -1
-            deg = sign * int(parser.next().text)
+            deg = parser.expect_int(signed=True)
             parser.expect("=")
             if parser.peek().text == "zero":
                 parser.next()
@@ -615,7 +607,7 @@ class Session:
                 "relations": [[str(x) for x in col] for col in O.relations]}
 
     def _cmd_artin_info(self, args):
-        A = self._get(args[0])
+        A = self._get(args[0], ArtinAlgebra)
         return {"dim": A.dim, "index": A.index,
                 "basis": [str(A.ambient.monomial(m)) for m in A.basis]}
 
@@ -642,11 +634,9 @@ class Session:
         return {"h1_of_pairs_sheaf": dims.get(1, 0)}
 
     def _cmd_mc_check(self, args):
-        L = self._get(args[0])
-        A = self._get(args[1])
-        xdecl = self._get(args[2])
-        if not isinstance(L, TableDGLA):
-            raise ScriptError("mc-check runs on table DG-Lie algebras")
+        L = self._get(args[0], TableDGLA)
+        A = self._get(args[1], ArtinAlgebra)
+        xdecl = self._get(args[2], Decl)
         ctx = TableContext(L, A)
         deg = xdecl.data["deg"]
         if xdecl.data["coeffs"] is None:

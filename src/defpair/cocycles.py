@@ -150,8 +150,7 @@ class Semicosimplicial:
                         continue
                     for tup in self.tuples(2):
                         ring = self.level_ring(tup)
-                        if any(not ring.nf(a - b).is_zero()
-                               for a, b in zip(left[tup], right[tup])):
+                        if left[tup] != right[tup]:
                             ok = False
         return ok
 

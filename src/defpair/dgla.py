@@ -168,10 +168,8 @@ class TableDGLA:
         return TElt(degree, tuple(c))
 
     def element(self, degree, coeffs, ring=TRIVIAL_COEFF_RING) -> TElt:
-        out = []
-        for c in coeffs:
-            out.append(c if isinstance(c, Polynomial) else ring.const(c))
-        return TElt(degree, tuple(out))
+        return TElt(degree, tuple(ring.nf(c) if isinstance(c, Polynomial) else ring.const(c)
+                                  for c in coeffs))
 
     def add(self, x: TElt, y: TElt) -> TElt:
         if x.degree != y.degree:
@@ -181,13 +179,8 @@ class TableDGLA:
     def scale(self, c, x: TElt) -> TElt:
         return TElt(x.degree, tuple(c * a for a in x.coeffs))
 
-    def is_zero(self, x: TElt, ring=None) -> bool:
-        if ring is not None:
-            return all(ring.nf(a).is_zero() for a in x.coeffs)
+    def is_zero(self, x: TElt) -> bool:
         return all(a.is_zero() for a in x.coeffs)
-
-    def nf(self, x: TElt, ring) -> TElt:
-        return TElt(x.degree, tuple(ring.nf(a) for a in x.coeffs))
 
     def d(self, x: TElt, ring=TRIVIAL_COEFF_RING) -> TElt:
         dm = self.diff.get(x.degree)
@@ -199,7 +192,7 @@ class TableDGLA:
             acc = ring.zero()
             for j, c in enumerate(x.coeffs):
                 acc = acc + c * dm[i][j]
-            coeffs[i] = ring.nf(acc)
+            coeffs[i] = acc
         return TElt(x.degree + 1, tuple(coeffs))
 
     def _basis_bracket(self, di, dj, a, b):
@@ -386,10 +379,11 @@ class HomComplexDGLA:
         return GradedMap(p, tuple(blocks))
 
     def from_blocks(self, p, blocks: dict) -> GradedMap:
+        """The map with the given blocks; their entries are normal forms."""
         out = []
         for j in sorted(blocks):
             if self.cx.rank(j) and self.cx.rank(j + p):
-                out.append((j, [[self.ring.nf(x) for x in row] for row in blocks[j]]))
+                out.append((j, blocks[j]))
         return GradedMap(p, tuple(out))
 
     def basis_maps(self, p):
@@ -420,7 +414,7 @@ class HomComplexDGLA:
                                  for src, m in f.blocks})
 
     def neg(self, f: GradedMap) -> GradedMap:
-        return self.scale(self.ring.const(-1), f)
+        return self.scale(-1, f)
 
     def is_zero(self, f: GradedMap) -> bool:
         return all(mat.mat_is_zero(m) for _, m in f.blocks)
@@ -439,18 +433,16 @@ class HomComplexDGLA:
         return self.from_blocks(f.degree + g.degree, blocks)
 
     def bracket(self, f: GradedMap, g: GradedMap) -> GradedMap:
-        sign = self.ring.const((-1) ** (f.degree * g.degree))
-        fg = self.compose(f, g)
         gf = self.compose(g, f)
-        return self.add(fg, self.scale(-sign, gf))
+        odd = f.degree * g.degree % 2
+        return self.add(self.compose(f, g), gf if odd else self.neg(gf))
 
     def d(self, f: GradedMap) -> GradedMap:
         """delta(f) = d o f - (-1)^{|f|} f o d."""
         dmap = GradedMap(1, tuple((j, self.cx.diff(j)) for j in self.cx.degrees
                                   if self.cx.rank(j) and self.cx.rank(j + 1)))
-        left = self.compose(dmap, f)
         right = self.compose(f, dmap)
-        return self.add(left, self.scale(self.ring.const(-((-1) ** f.degree)), right))
+        return self.add(self.compose(dmap, f), right if f.degree % 2 else self.neg(right))
 
     def trace(self, f: GradedMap):
         """Alternating-sign trace; zero in degree != 0."""
@@ -460,7 +452,7 @@ class HomComplexDGLA:
         for j, m in f.blocks:
             t = mat.mat_trace(self.ring, m)
             acc = acc + t * ((-1) ** (j % 2))
-        return self.ring.nf(acc)
+        return acc
 
 
 def hom_complex_dgla(cx: FreeComplex) -> HomComplexDGLA:
@@ -544,7 +536,7 @@ class PairComplexDGLA:
         return self.degree_pair(chain, j).apply_u(vec)
 
     def add_pairs(self, a: PairChain, b: PairChain) -> PairChain:
-        h = tuple(self.ring.nf(x + y) for x, y in zip(a.h_values, b.h_values))
+        h = tuple(x + y for x, y in zip(a.h_values, b.h_values))
         blocks = {}
         for j, m in a.blocks:
             mb = b.block(j)
@@ -553,12 +545,10 @@ class PairComplexDGLA:
 
     def neg_pair(self, a: PairChain) -> PairChain:
         return PairChain(tuple(-x for x in a.h_values),
-                         tuple((j, mat.mat_scale(self.ring, self.ring.const(-1), m))
-                               for j, m in a.blocks))
+                         tuple((j, mat.mat_scale(self.ring, -1, m)) for j, m in a.blocks))
 
     def pair_eq(self, a: PairChain, b: PairChain) -> bool:
-        if any(not self.ring.nf(x - y).is_zero()
-               for x, y in zip(a.h_values, b.h_values)):
+        if a.h_values != b.h_values:
             return False
         for j in self.cx.degrees:
             ma, mb = a.block(j), b.block(j)
@@ -584,16 +574,15 @@ class PairComplexDGLA:
                 upper = self.apply_chain(chain, j + 1,
                                          tuple(d[a][i] for a in range(rj1)))
                 dv = mat.mat_vec(self.ring, d, img)
-                cols.append(tuple(self.ring.nf(x - y) for x, y in zip(dv, upper)))
+                cols.append(tuple(x - y for x, y in zip(dv, upper)))
             blocks[j] = mat.mat_from_columns(self.ring, cols, rj1)
         return self.hom.from_blocks(1, blocks)
 
     def bracket_pairs(self, a: PairChain, b: PairChain) -> PairChain:
         from .pairs import pair_bracket
-        h = tuple(self.ring.nf(
-            self.ring.apply_derivation(a.h_values, b.h_values[i])
-            - self.ring.apply_derivation(b.h_values, a.h_values[i]))
-            for i in range(self.ring.nvars))
+        h = tuple(self.ring.apply_derivation(a.h_values, b.h_values[i])
+                  - self.ring.apply_derivation(b.h_values, a.h_values[i])
+                  for i in range(self.ring.nvars))
         blocks = {}
         for j in self.cx.degrees:
             if self.cx.rank(j) == 0:
@@ -621,7 +610,7 @@ class PairComplexDGLA:
                 left = self.apply_chain(a, j + p, fv)
                 uv = self.apply_chain(a, j, self.cx.module(j).gen(i))
                 right = mat.mat_vec(self.ring, fj, uv)
-                cols.append(tuple(self.ring.nf(x - y) for x, y in zip(left, right)))
+                cols.append(tuple(x - y for x, y in zip(left, right)))
             blocks[j] = mat.mat_from_columns(self.ring, cols, rt)
         return self.hom.from_blocks(p, blocks)
 
@@ -676,17 +665,16 @@ class PairComplexDGLA:
         out = []
         sy = syzygies(amb, [tuple(c) for c in cols], ideal_gens=R.gb, caps=R.caps)
         for s in sy:
-            h = tuple(R.nf(p) for p in s[:n])
             blocks = {}
-            nonzero = any(not p.is_zero() for p in h)
             for j in degs:
                 rj = self.cx.rank(j)
-                m = [[R.nf(s[offsets[j] + i * rj + t]) for i in range(rj)]
-                     for t in range(rj)]
-                blocks[j] = m
-                nonzero = nonzero or not mat.mat_is_zero(m)
-            if nonzero:
-                out.append(self.pair_chain(h, blocks))
+                blocks[j] = [[s[offsets[j] + i * rj + t] for i in range(rj)]
+                             for t in range(rj)]
+            # pair_chain reduces the solver's tag coordinates
+            chain = self.pair_chain(s[:n], blocks)
+            if any(not p.is_zero() for p in chain.h_values) or \
+                    not all(mat.mat_is_zero(m) for _, m in chain.blocks):
+                out.append(chain)
         return out
 
     def coboundaries_into_degree0(self):
@@ -711,7 +699,7 @@ class PairComplexDGLA:
             pre = M.solve(cols, M.gen(t))
             if pre is None:
                 raise PairError("augmentation is not surjective")
-            img = self.apply_chain(chain, 0, P0.nf(pre))
+            img = self.apply_chain(chain, 0, pre)
             u_values.append(aug.apply(img))
         return check_derivation_pair(self.ring, M, chain.h_values, tuple(u_values))
 
@@ -769,14 +757,13 @@ class TraceData:
             expected = src.hom.trace(f)
             if any(not v.is_zero() for v in traced.h_values):
                 failures.append(("anchor-moved", f))
-            if not ring.nf(traced.u_values[0][0] - expected).is_zero():
+            if traced.u_values[0][0] != expected:
                 failures.append(("square-broken", f))
         return {"passed": not failures, "failures": failures}
 
     def anchor_preserved(self, chain: PairChain) -> bool:
         traced = self.pair_trace(chain)
-        return all(self.source.ring.nf(a - b).is_zero()
-                   for a, b in zip(traced.h_values, chain.h_values))
+        return traced.h_values == chain.h_values
 
 
 def trace_morphism(R: QuotientRing, cx: FreeComplex) -> TraceData:
@@ -834,7 +821,7 @@ def split_sequence_pairs(alpha: ModuleMap, beta: ModuleMap) -> SplitSequenceData
     for g in DP.generators:
         ok = True
         for t in range(K.ngens):
-            img = g.apply_u(P.nf(acols[t]))
+            img = g.apply_u(acols[t])
             if not M.is_zero_elt(beta.apply(img)):
                 ok = False
                 break
@@ -844,7 +831,7 @@ def split_sequence_pairs(alpha: ModuleMap, beta: ModuleMap) -> SplitSequenceData
     def p_of(g):
         cols = []
         for t in range(K.ngens):
-            cols.append(beta.apply(g.apply_u(P.nf(acols[t]))))
+            cols.append(beta.apply(g.apply_u(acols[t])))
         return cols  # list of columns over M
 
     p_images = [p_of(g) for g in DP.generators]
@@ -874,11 +861,11 @@ def split_sequence_pairs(alpha: ModuleMap, beta: ModuleMap) -> SplitSequenceData
         for b in range(P.ngens):
             # v = E_ab : e_b -> k_a; alpha v has u-values alpha(e_a) at slot b
             u_values = [P.zero()] * P.ngens
-            u_values[b] = P.nf(acols[a])
+            u_values[b] = acols[a]
             g = check_derivation_pair(R, P, tuple(R.zero() for _ in range(R.nvars)),
                                       tuple(u_values))
             for t in range(K.ngens):
-                if not M.is_zero_elt(beta.apply(g.apply_u(P.nf(acols[t])))):
+                if not M.is_zero_elt(beta.apply(g.apply_u(acols[t]))):
                     j_ok = False
     reports["j_lands_in_L"] = j_ok
     # surjectivity of L -> D(R, M): anchors h of D(R,M) generators lift into L
@@ -890,14 +877,14 @@ def split_sequence_pairs(alpha: ModuleMap, beta: ModuleMap) -> SplitSequenceData
         u_values = []
         for i in range(P.ngens):
             w = g.apply_u(beta.apply(P.gen(i)))
-            u_values.append(P.nf(mat.mat_vec(R, sigma, w)))
+            u_values.append(mat.mat_vec(R, sigma, w))
         try:
             lifted = check_derivation_pair(R, P, g.h_values, tuple(u_values))
         except PairError:
             lift_ok = False
             continue
         for t in range(K.ngens):
-            if not M.is_zero_elt(beta.apply(lifted.apply_u(P.nf(acols[t])))):
+            if not M.is_zero_elt(beta.apply(lifted.apply_u(acols[t]))):
                 lift_ok = False
     reports["L_to_DM_surjective"] = lift_ok
     return SplitSequenceData(R, K, P, M, alpha, beta, L_gens, p_images, reports)

@@ -198,16 +198,20 @@ def groebner_basis(gens: list, order: Optional[MonomialOrder] = None,
     return [g for (g,) in _buchberger(gens, order, caps)]
 
 
-def poly_reduce(p: Polynomial, basis: list, order: Optional[MonomialOrder] = None) -> Polynomial:
+def poly_reduce(p: Polynomial, basis: list, order: Optional[MonomialOrder] = None,
+                leads: Optional[list] = None) -> Polynomial:
     """Remainder of multivariate division of p by the list `basis`.
 
-    Against a Groebner basis this is the unique normal form.
+    Against a Groebner basis this is the unique normal form.  `leads`, if
+    given, are the cached POT leads `_lead((g,), order)` of the basis.
     """
     if not basis:
         return p
     order = order or p.ring.order
     vecs = [(g,) for g in basis]
-    return _reduce((p,), vecs, [_lead(g, order) for g in vecs], order)[0]
+    if leads is None:
+        leads = [_lead(g, order) for g in vecs]
+    return _reduce((p,), vecs, leads, order)[0]
 
 
 def ideal_contains(basis: list, p: Polynomial, order: Optional[MonomialOrder] = None) -> bool:

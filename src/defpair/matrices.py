@@ -1,9 +1,11 @@
-"""Matrices with entries in a quotient ring (lists of rows of Polynomials)."""
+"""Matrices with entries in a quotient ring (lists of rows of normal forms;
+only products and scaling by ring elements reduce, see `rings`)."""
 
 from __future__ import annotations
 
 from itertools import combinations
 
+from .poly import Polynomial
 from .rings import RingError
 
 
@@ -22,15 +24,18 @@ def mat_shape(a):
 
 
 def mat_add(ring, a, b):
-    return [[ring.nf(x + y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_sub(ring, a, b):
-    return [[ring.nf(x - y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_scale(ring, c, a):
-    return [[ring.nf(c * x) for x in row] for row in a]
+    """c * a for a ring element c (reduced) or a rational c (not reduced)."""
+    if isinstance(c, Polynomial):
+        return [[ring.nf(c * x) for x in row] for row in a]
+    return [[x * c for x in row] for row in a]
 
 
 def mat_mul(ring, a, b):
@@ -82,7 +87,7 @@ def mat_trace(ring, a):
     acc = ring.zero()
     for i in range(n):
         acc = acc + a[i][i]
-    return ring.nf(acc)
+    return acc
 
 
 def det(ring, a):

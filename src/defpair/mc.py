@@ -19,7 +19,6 @@ from . import matrices as mat
 from .dgla import (GradedMap, HomComplexDGLA, PairChain, PairComplexDGLA,
                    TableDGLA, TElt, DGLAError)
 from .pairs import exp_pair, exp_weight, log_auto, log_weight, nilpotent_series
-from .poly import Polynomial
 from .rings import ArtinAlgebra, ExtendedRing
 
 
@@ -40,19 +39,19 @@ class TableContext:
         self.A = A
 
     def element(self, degree, coeffs) -> TElt:
-        return self.L.nf(self.L.element(degree, coeffs, self.A), self.A)
+        return self.L.element(degree, coeffs, self.A)
 
     def zero(self, degree) -> TElt:
         return self.L.zero(degree, self.A)
 
     def add(self, x, y):
-        return self.L.nf(self.L.add(x, y), self.A)
+        return self.L.add(x, y)
 
     def sub(self, x, y):
         return self.add(x, self.scale(Fraction(-1), y))
 
     def scale(self, c, x):
-        return self.L.nf(self.L.scale(c, x), self.A)
+        return self.L.scale(c, x)
 
     def d(self, x):
         return self.L.d(x, self.A)
@@ -61,13 +60,13 @@ class TableContext:
         return self.L.bracket(x, y, self.A)
 
     def is_zero(self, x) -> bool:
-        return self.L.is_zero(x, self.A)
+        return self.L.is_zero(x)
 
     def degree(self, x) -> int:
         return x.degree
 
     def in_max_ideal(self, x) -> bool:
-        return all(self.A.nf(c).constant_term() == 0 for c in x.coeffs)
+        return all(c.constant_term() == 0 for c in x.coeffs)
 
     # -- exact exponential bookkeeping via a registered faithful rep -------
     def _rep_matrix(self, x: TElt):
@@ -80,7 +79,7 @@ class TableContext:
             for a in range(n):
                 for b in range(n):
                     if m[a][b]:
-                        acc[a][b] = self.A.nf(acc[a][b] + c * m[a][b])
+                        acc[a][b] = acc[a][b] + c * m[a][b]
         return acc
 
     def _unrep(self, matrix) -> TElt:
@@ -113,7 +112,7 @@ def _mat_series(ring, acc, v, right, weight):
     """acc + sum_{n>=1} weight(n) * v right^n over ring matrices."""
     return nilpotent_series(acc, v, lambda m: mat.mat_mul(ring, m, right), weight,
                             lambda x, y: mat.mat_add(ring, x, y),
-                            lambda c, m: mat.mat_scale(ring, ring.const(c), m),
+                            lambda c, m: mat.mat_scale(ring, c, m),
                             mat.mat_is_zero)
 
 
@@ -223,10 +222,10 @@ class PairContext:
 
     def scale(self, c, x):
         if isinstance(x, PairChain):
-            cc = self.ring.const(c) if not isinstance(c, Polynomial) else c
-            return PairChain(tuple(self.ring.nf(cc * h) for h in x.h_values),
-                             tuple((j, mat.mat_scale(self.ring, cc, m))
-                                   for j, m in x.blocks))
+            # the anchor values scale as a one-row matrix
+            (h,) = mat.mat_scale(self.ring, c, [x.h_values])
+            return PairChain(tuple(h), tuple((j, mat.mat_scale(self.ring, c, m))
+                                             for j, m in x.blocks))
         return self.D.hom.scale(c, x)
 
     def d(self, x):
@@ -241,12 +240,12 @@ class PairContext:
         if xp:
             return self.D.bracket_pair_hom(x, y)
         if yp:
-            return self.D.hom.scale(self.ring.const(-1), self.D.bracket_pair_hom(y, x))
+            return self.D.hom.neg(self.D.bracket_pair_hom(y, x))
         return self.D.hom.bracket(x, y)
 
     def is_zero(self, x) -> bool:
         if isinstance(x, PairChain):
-            return (all(self.ring.nf(h).is_zero() for h in x.h_values)
+            return (all(h.is_zero() for h in x.h_values)
                     and all(mat.mat_is_zero(m) for _, m in x.blocks))
         return self.D.hom.is_zero(x)
 

@@ -4,7 +4,8 @@ complexes, Fitting ideals, free resolutions and Kaehler differentials.
 A module is presented by generators and relation columns; elements are
 coefficient vectors kept in module normal form (computed at the ambient
 polynomial level, with the defining ideal folded into the relation
-submodule), so equality of elements is literal equality.
+submodule), so equality of elements is literal equality.  Sums and
+differences of normal forms are normal forms (see `rings`).
 """
 
 from __future__ import annotations
@@ -68,18 +69,20 @@ class FPModule:
         if self.ngens == 0:
             return ()
         if not self.relations and self.ring.is_polynomial_ring():
-            return tuple(self.ring.nf(p) for p in vec)
+            return vec
         return self._module_basis().normal_form(vec)
 
     def zero(self) -> tuple:
         return tuple(self.ring.zero() for _ in range(self.ngens))
 
     def gen(self, i) -> tuple:
-        return tuple(self.ring.one() if j == i else self.ring.zero()
-                     for j in range(self.ngens))
+        e = tuple(self.ring.one() if j == i else self.ring.zero()
+                  for j in range(self.ngens))
+        # a unit vector is standard unless a relation has a constant lead entry
+        return self.nf(e) if self.relations else e
 
     def element(self, coeffs) -> tuple:
-        return self.nf(tuple(self.ring.nf(c) for c in coeffs))
+        return self.nf(coeffs)
 
     def is_zero_elt(self, vec) -> bool:
         return vec_is_zero(self.nf(vec))
@@ -91,10 +94,10 @@ class FPModule:
         return self.nf(tuple(r * p for p in vec))
 
     def add(self, u, v) -> tuple:
-        return self.nf(tuple(a + b for a, b in zip(u, v)))
+        return tuple(a + b for a, b in zip(u, v))
 
     def sub(self, u, v) -> tuple:
-        return self.nf(tuple(a - b for a, b in zip(u, v)))
+        return tuple(a - b for a, b in zip(u, v))
 
     def is_free_presentation(self) -> bool:
         return all(vec_is_zero(c) for c in self.relations)

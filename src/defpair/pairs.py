@@ -62,7 +62,7 @@ class DerivationPair:
         return M.nf(tuple(out))
 
     def is_zero(self) -> bool:
-        return (all(self.ring.nf(p).is_zero() for p in self.h_values)
+        return (all(p.is_zero() for p in self.h_values)
                 and all(self.module.is_zero_elt(v) for v in self.u_values))
 
     def anchor(self) -> tuple:
@@ -82,15 +82,14 @@ class DerivationPair:
     def add(self, other: "DerivationPair") -> "DerivationPair":
         return DerivationPair(
             self.ring, self.module,
-            tuple(self.ring.nf(a + b) for a, b in zip(self.h_values, other.h_values)),
+            tuple(a + b for a, b in zip(self.h_values, other.h_values)),
             tuple(self.module.add(u, v) for u, v in zip(self.u_values, other.u_values)))
 
     def sub(self, other: "DerivationPair") -> "DerivationPair":
         return self.add(other.neg())
 
     def eq(self, other: "DerivationPair") -> bool:
-        return (all(self.ring.nf(a - b).is_zero()
-                    for a, b in zip(self.h_values, other.h_values))
+        return (self.h_values == other.h_values
                 and all(self.module.eq(u, v)
                         for u, v in zip(self.u_values, other.u_values)))
 
@@ -148,7 +147,7 @@ def pair_bracket(p: DerivationPair, q: DerivationPair) -> DerivationPair:
         if p.module.ngens != q.module.ngens or p.module.relations != q.module.relations:
             raise PairError("bracket of pairs on different carriers")
     R, M = p.ring, p.module
-    h = tuple(R.nf(p.apply_h(q.h_values[i]) - q.apply_h(p.h_values[i]))
+    h = tuple(p.apply_h(q.h_values[i]) - q.apply_h(p.h_values[i])
               for i in range(R.nvars))
     u = tuple(M.sub(p.apply_u(q.u_values[j]), q.apply_u(p.u_values[j]))
               for j in range(M.ngens))
@@ -158,8 +157,7 @@ def pair_bracket(p: DerivationPair, q: DerivationPair) -> DerivationPair:
 def check_arrow_pair(f: ModuleMap, p: DerivationPair, q: DerivationPair) -> tuple:
     """Validate a derivation of the arrow M1 -> M2: shared anchor and
     f u1 = u2 f, checked exactly on the source generators."""
-    if any(not f.ring.nf(a - b).is_zero()
-           for a, b in zip(p.h_values, q.h_values)):
+    if p.h_values != q.h_values:
         raise PairError("anchor mismatch on the two ends of the arrow")
     for i in range(f.source.ngens):
         lhs = f.apply(p.apply_u(f.source.gen(i)))
@@ -228,7 +226,7 @@ class PairModule:
         """Checks 0 -> Hom(M,M) -> D(R,M) -> Der(R) exactness at the middle."""
         R, M = self.ring, self.module
         amb = R.ambient
-        hom_ok = all(all(R.nf(p).is_zero() for p in g.h_values)
+        hom_ok = all(all(p.is_zero() for p in g.h_values)
                      for g in self.hom_generators)
         # anchor-kernel generators: solve anchor == 0 inside the span
         hom_cols = []
@@ -247,7 +245,7 @@ class PairModule:
         kernel_in_hom = True
         witness = None
         for p in self.generators:
-            if all(R.nf(v).is_zero() for v in p.h_values):
+            if all(v.is_zero() for v in p.h_values):
                 flatu = []
                 for u in p.u_values:
                     flatu.extend(u)
@@ -411,10 +409,8 @@ def lie_derivative(R: QuotientRing, h_values) -> DerivationPair:
     """The pair (h, L_h) on the module of differentials, L_h(dx_i) = d(h(x_i))."""
     O = kaehler_differentials(R)
     h_values = tuple(R.nf(p) for p in h_values)
-    u_values = []
-    for i in range(R.nvars):
-        hi = h_values[i]
-        u_values.append(O.nf(tuple(R.nf(hi.diff(j)) for j in range(R.nvars))))
+    # check_derivation_pair reduces the derivative values d(h(x_i))
+    u_values = [tuple(hi.diff(j) for j in range(R.nvars)) for hi in h_values]
     return check_derivation_pair(R, O, h_values, tuple(u_values))
 
 
@@ -461,7 +457,7 @@ def tensor_hom_transfer(p: DerivationPair, q: Optional[DerivationPair],
         mode = "hom"
     if q is None:
         raise PairError("second pair required")
-    if any(not R.nf(a - b).is_zero() for a, b in zip(p.h_values, q.h_values)):
+    if p.h_values != q.h_values:
         raise PairError("anchor mismatch between the two pairs")
     N = q.module
     if mode == "tensor":
@@ -475,7 +471,7 @@ def tensor_hom_transfer(p: DerivationPair, q: Optional[DerivationPair],
                     v[a * m + j] = p.u_values[i][a]
                 for b in range(m):
                     v[i * m + b] = v[i * m + b] + q.u_values[j][b]
-                u_values.append(T.nf(tuple(v)))
+                u_values.append(tuple(v))
         return check_derivation_pair(R, T, p.h_values, tuple(u_values))
     if mode == "hom":
         H = hom_module(M, N)
@@ -495,7 +491,7 @@ def tensor_hom_transfer(p: DerivationPair, q: Optional[DerivationPair],
                     col[a] = col[a] - ujb
                     for c in range(m):
                         coords[c * k + j] = coords[c * k + j] + col[c]
-                u_values.append(H.nf(tuple(coords)))
+                u_values.append(tuple(coords))
         return check_derivation_pair(R, H, p.h_values, tuple(u_values))
     raise PairError(f"unknown transfer mode {mode!r}")
 
@@ -543,7 +539,7 @@ def leibniz_extension(p: DerivationPair, n: int) -> DerivationPair:
                 if sign == 0:
                     continue
                 acc[pos[sortd]] = acc[pos[sortd]] + c * sign
-        u_values.append(W.nf(tuple(acc)))
+        u_values.append(tuple(acc))
     return check_derivation_pair(R, W, p.h_values, tuple(u_values))
 
 
@@ -575,7 +571,7 @@ def lift_through_surjection(p: DerivationPair, f: ModuleMap) -> DerivationPair:
         sol = M.solve(cols, target)
         if sol is None:
             raise PairError("no lift exists for a generator image")
-        v_values.append(P.nf(tuple(sol)))
+        v_values.append(sol)
     lifted = check_derivation_pair(R, P, p.h_values, tuple(v_values))
     for i in range(P.ngens):
         lhs = f.apply(lifted.apply_u(P.gen(i)))
@@ -607,16 +603,16 @@ def lift_to_resolution(p: DerivationPair, cx: FreeComplex, aug: ModuleMap) -> di
         upper = lifts[k + 1]
         v_values = []
         for j in range(Pk.ngens):
-            target = upper.apply_u(Pk1.nf(cols[j]))
+            target = upper.apply_u(cols[j])
             sol = Pk1.solve(cols, target)
             if sol is None:
                 raise PairError(f"no chain lift at degree {k}")
-            v_values.append(Pk.nf(tuple(sol)))
+            v_values.append(sol)
         lifts[k] = check_derivation_pair(R, Pk, p.h_values, tuple(v_values))
         # verify the square d v = v d exactly on generators
         for j in range(Pk.ngens):
             lhs = mat.mat_vec(R, d, lifts[k].apply_u(Pk.gen(j)))
-            rhs = upper.apply_u(Pk1.nf(cols[j]))
+            rhs = upper.apply_u(cols[j])
             if not Pk1.eq(lhs, rhs):
                 raise PairError(f"lift square fails at degree {k}")
     return lifts
@@ -652,9 +648,8 @@ def log_weight(n):
     return Fraction((-1) ** (n + 1), n)
 
 
-# A rational multiple of a normal form is one, so only sums are reduced.
-def _ring_series(R, acc, v, step, weight):
-    return nilpotent_series(acc, v, step, weight, lambda x, y: R.nf(x + y),
+def _ring_series(acc, v, step, weight):
+    return nilpotent_series(acc, v, step, weight, Polynomial.__add__,
                             lambda c, p: p * c, Polynomial.is_zero)
 
 
@@ -687,8 +682,7 @@ class AutomorphismPair:
 
     def is_identity(self) -> bool:
         R, M = self.ring, self.module
-        return (all(R.nf(self.theta_images[i] - R.var(i)).is_zero()
-                    for i in range(R.nvars))
+        return (all(self.theta_images[i] == R.var(i) for i in range(R.nvars))
                 and all(M.eq(self.phi_values[j], M.gen(j)) for j in range(M.ngens)))
 
     def compose(self, other: "AutomorphismPair") -> "AutomorphismPair":
@@ -706,13 +700,13 @@ def check_automorphism_pair(R: ExtendedRing, M: FPModule, theta_images,
     a = AutomorphismPair(R, M, theta_images, phi_values)
     nb = R.base.nvars
     for i in range(nb, R.nvars):
-        if not R.nf(theta_images[i] - R.var(i)).is_zero():
+        if theta_images[i] != R.var(i):
             raise PairError("not A-linear: theta moves an Artin variable")
     for g in R.relations:
         if not a.apply_theta(g).is_zero():
             raise PairError(f"theta does not preserve the relation {g}")
     for i in range(R.nvars):
-        if not R.in_max_ideal(R.nf(theta_images[i] - R.var(i))):
+        if not R.in_max_ideal(theta_images[i] - R.var(i)):
             raise PairError("theta does not reduce to the identity")
     for j in range(M.ngens):
         delta = M.sub(phi_values[j], M.gen(j))
@@ -751,7 +745,7 @@ def exp_pair(pair: DerivationPair) -> AutomorphismPair:
     """exp(h, u) as an automorphism pair; exact, truncated by nilpotency."""
     _require_nilpotent(pair)
     R, M = pair.ring, pair.module
-    theta = tuple(_ring_series(R, R.var(i), R.var(i), pair.apply_h, exp_weight)
+    theta = tuple(_ring_series(R.var(i), R.var(i), pair.apply_h, exp_weight)
                   for i in range(R.nvars))
     phi = tuple(_module_series(M, M.gen(j), M.gen(j), pair.apply_u, exp_weight)
                 for j in range(M.ngens))
@@ -766,7 +760,7 @@ def log_auto(a: AutomorphismPair) -> DerivationPair:
     R, M = a.ring, a.module
 
     def delta_ring(p):
-        return R.nf(a.apply_theta(p) - p)
+        return a.apply_theta(p) - p
 
     def delta_mod(vec):
         return M.sub(a.apply_phi(vec), vec)
@@ -777,7 +771,7 @@ def log_auto(a: AutomorphismPair) -> DerivationPair:
     h_values = []
     for i in range(R.nvars):
         first = delta_ring(R.var(i))
-        h_values.append(_ring_series(R, first, first, delta_ring, weight))
+        h_values.append(_ring_series(first, first, delta_ring, weight))
     u_values = []
     for j in range(M.ngens):
         first = delta_mod(M.gen(j))

@@ -5,6 +5,14 @@ Elements of a quotient ring are ambient polynomials kept in normal form
 against the cached reduced Groebner basis of the defining ideal, so equality
 is literal equality of representatives.
 
+Reduction rule: every value a library object hands out is a normal form.
+Standard monomials are closed under QQ-linear combination, so sums,
+differences and rational multiples of normal forms (ring or module) are
+normal forms.  Only products with ring elements, substitutions, derivation
+values, solver outputs (`solve_in_image`/`syzygies` tags are not reduced
+modulo I) and constructors or parsers of outside input reduce; normal forms
+are compared with `==`.
+
 An Artin local algebra A = QQ[t..]/J with residue field QQ is a quotient ring
 that additionally knows its finite monomial basis and the nilpotency index of
 its maximal ideal.  Scalar extension glues the variable blocks of R and A
@@ -21,7 +29,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from . import linalg
-from .groebner import (Caps, DEFAULT_CAPS, groebner_basis, poly_reduce)
+from .groebner import Caps, DEFAULT_CAPS, _lead, groebner_basis, poly_reduce
 from .poly import GREVLEX, PolyRing, Polynomial, mono_div
 
 
@@ -45,8 +53,11 @@ class QuotientRing:
         self.gb = groebner_basis(self.relations, ambient.order, caps)
         if any(g.is_constant() for g in self.gb):
             raise RingError("defining ideal contains a unit; quotient is the zero ring")
+        # POT leads of the basis as 1-tuples, for poly_reduce
+        self.leads = [_lead((g,), ambient.order) for g in self.gb]
         self.smooth_claimed = smooth_claimed
         self.caps = caps
+        self._vars = tuple(self.nf(ambient.var(i)) for i in range(ambient.nvars))
 
     # -- element helpers ------------------------------------------------
     @property
@@ -58,7 +69,7 @@ class QuotientRing:
         return self.ambient.nvars
 
     def nf(self, p: Polynomial) -> Polynomial:
-        return poly_reduce(p, self.gb, self.ambient.order) if self.gb else p
+        return poly_reduce(p, self.gb, self.ambient.order, self.leads) if self.gb else p
 
     def zero(self):
         return self.ambient.zero()
@@ -70,10 +81,10 @@ class QuotientRing:
         return self.ambient.const(c)
 
     def var(self, i):
-        return self.nf(self.ambient.var(i))
+        return self._vars[i]
 
     def gens(self):
-        return tuple(self.var(i) for i in range(self.nvars))
+        return self._vars
 
     def parse(self, text: str) -> Polynomial:
         return self.nf(self.ambient.parse(text))
@@ -108,7 +119,7 @@ class QuotientRing:
         return self.nf(sol[0]) if sol is not None else None
 
     def ideal(self, gens) -> "Ideal":
-        return Ideal(self, [self.nf(g) for g in gens])
+        return Ideal(self, gens)
 
     def __eq__(self, other):
         return (isinstance(other, QuotientRing) and self.ambient == other.ambient
@@ -130,16 +141,18 @@ class Ideal:
         self.ring = ring
         self.gens = [g for g in (ring.nf(p) for p in gens) if not g.is_zero()]
         self._gb = None
+        self._leads = None
 
     def groebner(self):
         """Ambient-level Groebner basis of (gens) + defining ideal."""
         if self._gb is None:
-            self._gb = groebner_basis(self.gens + self.ring.gb,
-                                      self.ring.ambient.order, self.ring.caps)
+            order = self.ring.ambient.order
+            self._gb = groebner_basis(self.gens + self.ring.gb, order, self.ring.caps)
+            self._leads = [_lead((g,), order) for g in self._gb]
         return self._gb
 
     def normal_form(self, p: Polynomial) -> Polynomial:
-        return poly_reduce(p, self.groebner(), self.ring.ambient.order)
+        return poly_reduce(p, self.groebner(), self.ring.ambient.order, self._leads)
 
     def contains(self, p: Polynomial) -> bool:
         return self.normal_form(p).is_zero()
@@ -218,7 +231,7 @@ class ArtinAlgebra(QuotientRing):
         self.index = self._nilpotency_index()
 
     def _standard_monomials(self):
-        leads = [g.lead(self.ambient.order)[0] for g in self.gb]
+        leads = [m for _, m, _ in self.leads]
         n = self.nvars
         for i in range(n):
             if not any(all(e == 0 or j == i for j, e in enumerate(m)) and m[i] > 0
@@ -315,11 +328,13 @@ class ExtendedRing(QuotientRing):
             terms[newm] = c
         return Polynomial(ambient, terms)
 
+    # The joined basis is the union of the blocks' bases, so products of standard
+    # monomials of R and of A are standard: these maps need no reduction.
     def from_base(self, p: Polynomial) -> Polynomial:
-        return self.nf(self._pad_left(self.ambient, self.base.nvars, p, True))
+        return self._pad_left(self.ambient, self.base.nvars, p, True)
 
     def from_artin(self, a: Polynomial) -> Polynomial:
-        return self.nf(self._pad_left(self.ambient, self.base.nvars, a, False))
+        return self._pad_left(self.ambient, self.base.nvars, a, False)
 
     def artin_degree(self, p: Polynomial) -> Optional[int]:
         """Minimal A-block degree over the terms of p; None for p = 0."""
@@ -339,7 +354,7 @@ class ExtendedRing(QuotientRing):
         for m, c in p.terms.items():
             if sum(m[nb:]) == 0:
                 terms[m[:nb]] = c
-        return self.base.nf(Polynomial(self.base.ambient, terms))
+        return Polynomial(self.base.ambient, terms)
 
     def artin_components(self, p: Polynomial):
         """Decompose p as {A-basis monomial : element of R} (finite support)."""
@@ -348,7 +363,7 @@ class ExtendedRing(QuotientRing):
         for m, c in p.terms.items():
             beta, xm = m[nb:], m[:nb]
             out.setdefault(beta, {})[xm] = c
-        return {beta: self.base.nf(Polynomial(self.base.ambient, t))
+        return {beta: Polynomial(self.base.ambient, t)
                 for beta, t in sorted(out.items())}
 
 

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +39,8 @@ def test_parse_errors_have_positions():
         parse_script("ring R = QQ[x]; ring R = QQ[y];")
     with pytest.raises(ScriptError, match="unknown declaration"):
         parse_script("widget W = 3;")
+    with pytest.raises(ScriptError, match="expected an integer, found '-' at 1:21"):
+        parse_script("dgla L = abelian (1:-1);")
 
 
 def test_round_trip_pretty():
@@ -152,6 +155,13 @@ def test_wrong_object_kind_keeps_later_reports():
     reports = run_script("ring R = QQ[x]; cmd groebner R; cmd cech-cohomology P1 O;")
     assert [r.status for r in reports] == ["error", "ok"]
     assert reports[0].payload["message"] == "'R' is a QuotientRing, expected Ideal"
+    reports = run_script("ring R = QQ[x]; cmd artin-info R; cmd cech-cohomology P1 O;")
+    assert [r.status for r in reports] == ["error", "ok"]
+    assert reports[0].payload["message"] == "'R' is a QuotientRing, expected ArtinAlgebra"
+    reports = run_script("artin A = QQ[e]/(e^2); dgla L = abelian (1:1);"
+                         "cmd mc-check L A L; cmd cech-cohomology P1 O;")
+    assert [r.status for r in reports] == ["error", "ok"]
+    assert reports[0].payload["message"] == "'L' is a TableDGLA, expected Decl"
 
 
 def test_rational_coefficients_in_scripts():
@@ -165,6 +175,14 @@ def test_rational_coefficients_in_scripts():
 
 
 # -- rendering ------------------------------------------------------------------
+
+def test_readme_sample_output_is_unchanged(capsys):
+    # readme_sample.json is the committed `--json` output of the README's
+    # sample script; any change to it is a change of results
+    data = Path(__file__).parent / "data"
+    assert main(["run", str(data / "readme_sample.defpair"), "--json"]) == 0
+    assert capsys.readouterr().out == (data / "readme_sample.json").read_text()
+
 
 def test_json_determinism():
     text = "ring R = QQ[x]; module M over R = coker [[x,0],[0,x^2]]; cmd fitting M;"
