@@ -102,6 +102,9 @@ class ChartInclusion:
             out.append(tgt.nf(acc))
         return tuple(out)
 
+    def map_matrix(self, m):
+        return [[self.ring_map(x) for x in row] for row in m]
+
 
 def make_inclusion(source: QuotientRing, target: QuotientRing,
                    image_names: list) -> ChartInclusion:
@@ -184,6 +187,15 @@ class GluedScheme:
 
     def subsets(self, size):
         return [frozenset(c) for c in combinations(range(self.nchart), size)]
+
+    def cocycle_triples(self):
+        """Index triples of the triple cocycle condition whose charts have a
+        ring: the proper ones, then those with a repeated index, sorted."""
+        n = range(self.nchart)
+        degenerate = sorted({t for i in n for j in n
+                             for t in ((i, i, j), (i, j, i), (j, i, i))})
+        return [t for t in [tuple(sorted(S)) for S in self.subsets(3)] + degenerate
+                if frozenset(t) in self.rings]
 
 
 def projective_line() -> GluedScheme:
@@ -270,7 +282,10 @@ class LocallyFreeSheaf:
 
     rank r; weights[i] = generator weights on chart i; pair_matrices[(i, j)]
     for i < j = r x r matrix over ring({i,j}) expressing chart-j generators
-    in chart-i generator coordinates.
+    in chart-i generator coordinates.  The sheaf is the one place that
+    knows frames and transitions: each stored transition is inverted at most
+    once, and every frame change over a larger overlap is its image under
+    the chart inclusion.
     """
 
     def __init__(self, scheme: GluedScheme, rank: int, weights: dict,
@@ -280,6 +295,7 @@ class LocallyFreeSheaf:
         self.weights = {i: tuple(w) for i, w in weights.items()}
         self.pair_matrices = {tuple(sorted(k)): v for k, v in pair_matrices.items()}
         self.name = name
+        self._inverses = {}
         for i in range(scheme.nchart):
             if len(self.weights.get(i, ())) != rank:
                 raise CechError("one weight per generator per chart expected")
@@ -291,49 +307,57 @@ class LocallyFreeSheaf:
             raise CechError("pair matrices are stored for i < j")
         return self.pair_matrices[(i, j)]
 
-    def frame_matrix(self, subset, i):
-        """Convert chart-i coordinates into frame coordinates over ring(S)."""
-        S = frozenset(subset)
-        ring = self.scheme.ring(S)
-        f = self.scheme.frame(S)
-        if i == f:
-            return mat.identity_matrix(ring, self.rank)
-        pair = frozenset((f, i))
-        inc = self.scheme.inclusion(pair, S)
-        m = self.pair_matrix(f, i)
-        return [[inc.ring_map(x) for x in row] for row in m]
+    def pair_inverse(self, i, j):
+        """Inverse of pair_matrix(i, j), solved once and checked exactly."""
+        if (i, j) not in self._inverses:
+            m = self.pair_matrix(i, j)
+            ring = self.scheme.ring((i, j))
+            inv = mat.mat_inverse(ring, m)
+            if inv is None or not mat.mat_eq(mat.mat_mul(ring, m, inv),
+                                             mat.identity_matrix(ring, self.rank)):
+                raise CechError(f"transition of {self.name} on {(i, j)} is not invertible")
+            self._inverses[(i, j)] = inv
+        return self._inverses[(i, j)]
+
+    def frame_change(self, sub, sup):
+        """Matrix converting frame(sub) coordinates into frame(sup)
+        coordinates over ring(sup); None when the two frames agree."""
+        return self._frame_image(sub, sup, self.pair_matrix)
+
+    def frame_change_inverse(self, sub, sup):
+        """Inverse of frame_change(sub, sup); None when the frames agree."""
+        return self._frame_image(sub, sup, self.pair_inverse)
+
+    def _frame_image(self, sub, sup, stored):
+        b = frozenset(sup)
+        fa, fb = self.scheme.frame(sub), self.scheme.frame(b)
+        if fa == fb:
+            return None
+        return self.scheme.inclusion(frozenset((fb, fa)), b).map_matrix(stored(fb, fa))
 
     def restrict_between(self, sub, sup, coords):
         """Restrict frame coordinates over ring(sub) to ring(sup)."""
         a, b = frozenset(sub), frozenset(sup)
-        ring = self.scheme.ring(b)
-        inc = self.scheme.inclusion(a, b)
-        mapped = tuple(inc.ring_map(c) for c in coords)
-        fa, fb = self.scheme.frame(a), self.scheme.frame(b)
-        if fa == fb:
+        mapped = tuple(self.scheme.inclusion(a, b).ring_map(c) for c in coords)
+        conv = self.frame_change(a, b)
+        if conv is None:
             return mapped
-        conv = self.frame_matrix(b, fa)
-        return mat.mat_vec(ring, conv, mapped)
+        return mat.mat_vec(self.scheme.ring(b), conv, mapped)
 
     def check_transitions(self) -> bool:
         """Cocycle condition of the gluing data on all stored triples."""
         ok = True
         for S in self.scheme.subsets(3):
-            if S not in [frozenset(x) for x in self.scheme.rings]:
+            if S not in self.scheme.rings:
                 continue
             i, j, k = sorted(S)
-            ring = self.scheme.ring(S)
-            mij = self._mapped_pair(i, j, S)
-            mjk = self._mapped_pair(j, k, S)
-            mik = self._mapped_pair(i, k, S)
-            if not mat.mat_eq(mat.mat_mul(ring, mij, mjk), mik):
+            mjk = self.scheme.inclusion(frozenset((j, k)), S).map_matrix(
+                self.pair_matrix(j, k))
+            if not mat.mat_eq(mat.mat_mul(self.scheme.ring(S),
+                                          self.frame_change((j,), S), mjk),
+                              self.frame_change((k,), S)):
                 ok = False
         return ok
-
-    def _mapped_pair(self, i, j, S):
-        inc = self.scheme.inclusion(frozenset((i, j)), frozenset(S))
-        m = self.pair_matrix(i, j)
-        return [[inc.ring_map(x) for x in row] for row in m]
 
     def section_basis(self, subset, w):
         """Weight-w basis of sections over ring(S): (monomial, generator)."""
@@ -347,9 +371,6 @@ class LocallyFreeSheaf:
         return out
 
     def section_coords(self, subset, w, vec, basis=None):
-        S = frozenset(subset)
-        ring = self.scheme.ring(S)
-        f = self.scheme.frame(S)
         basis = basis if basis is not None else self.section_basis(subset, w)
         pos = {lab: t for t, lab in enumerate(basis)}
         coords = [Fraction(0)] * len(basis)
@@ -433,8 +454,35 @@ def tangent_sheaf(X: GluedScheme) -> LocallyFreeSheaf:
     return LocallyFreeSheaf(X, 1, weights, pm, name="Theta")
 
 
+def transition_law(ring, C, U, N, h=None):
+    """C.U.N, plus C.h(N) when the anchor h is given: how a map (h None) or a
+    pair (h, U) changes frame, for a frame change C with inverse N.  C is None
+    when the frames agree, and U is returned as it is."""
+    if C is None:
+        return U
+    out = mat.mat_mul(ring, C, mat.mat_mul(ring, U, N))
+    if h is None:
+        return out
+    hN = [[ring.apply_derivation(h, x) for x in row] for row in N]
+    return mat.mat_add(ring, out, mat.mat_mul(ring, C, hN))
+
+
+def _elementary_images(ring, C, N):
+    """Row-major entries of C.E_ab.N for each elementary E_ab, (a, b) in
+    lexicographic order."""
+    s, r = len(C), len(N)
+    out = []
+    for a in range(s):
+        for b in range(r):
+            E = mat.zero_matrix(ring, s, r)
+            E[a][b] = ring.one()
+            out.append(tuple(x for row in transition_law(ring, C, E, N) for x in row))
+    return out
+
+
 def sheaf_hom(F: LocallyFreeSheaf, G: LocallyFreeSheaf) -> LocallyFreeSheaf:
-    """Hom(F, G) with the conjugation gluing."""
+    """Hom(F, G) with the conjugation gluing f -> MG f NF; generator E_ab
+    (row-major index a*r + b) maps E^F_b to E^G_a."""
     X = F.scheme
     r, s = F.rank, G.rank
     weights = {}
@@ -448,20 +496,8 @@ def sheaf_hom(F: LocallyFreeSheaf, G: LocallyFreeSheaf) -> LocallyFreeSheaf:
     for S in X.subsets(2):
         i, j = sorted(S)
         ring = X.ring(S)
-        MG = G.pair_matrix(i, j)
-        MF = F.pair_matrix(i, j)
-        NF = mat.mat_inverse(ring, MF)
-        if NF is None:
-            raise CechError("transition matrix is not invertible")
-        big = mat.zero_matrix(ring, s * r, s * r)
-        # column index of E_ab is a*r + b; f -> MG f NF entrywise
-        for a in range(s):
-            for b in range(r):
-                col = a * r + b
-                for c in range(s):
-                    for dd in range(r):
-                        big[c * r + dd][col] = ring.nf(MG[c][a] * NF[b][dd])
-        pm[(i, j)] = big
+        cols = _elementary_images(ring, G.pair_matrix(i, j), F.pair_inverse(i, j))
+        pm[(i, j)] = mat.mat_from_columns(ring, cols, s * r)
     return LocallyFreeSheaf(X, s * r, weights, pm,
                             name=f"Hom({F.name},{G.name})")
 
@@ -470,9 +506,9 @@ def pair_sheaf(F: LocallyFreeSheaf) -> LocallyFreeSheaf:
     """The sheaf of derivations of the pair (structure sheaf, F).
 
     Frame on chart i: (the chart frame derivation with zero values, then the
-    elementary endomorphisms E_ab).  Gluing is derived by transporting the
-    pair generators, which produces the twisted extension of Theta by
-    End(F).
+    elementary endomorphisms E_ab).  Each chart-j generator is moved to the
+    chart-i frame by the pair transition law, which produces the twisted
+    extension of Theta by End(F).
     """
     X = F.scheme
     r = F.rank
@@ -489,37 +525,13 @@ def pair_sheaf(F: LocallyFreeSheaf) -> LocallyFreeSheaf:
     for S in X.subsets(2):
         i, j = sorted(S)
         ring = X.ring(S)
-        M = F.pair_matrix(i, j)
-        N = mat.mat_inverse(ring, M)
-        if N is None:
-            raise CechError("transition matrix is not invertible")
-        inc_j = X.inclusion(frozenset([j]), frozenset(S))
-        cols = []
-        # transported anchor generator of chart j
-        hv = inc_j.transport_derivation((X.charts[j].one(),))
-        frame_var = X.inclusion(frozenset([i]), frozenset(S)).ring_map.images[0]
-        anchor_coord = ring.apply_derivation(hv, frame_var)
-        # u'-matrix of the transported (d/dt, 0) pair: M . h'(N)
-        hN = [[ring.apply_derivation(hv, N[p][q]) for q in range(r)]
-              for p in range(r)]
-        u_theta = mat.mat_mul(ring, M, hN)
-        col = [anchor_coord]
-        for a in range(r):
-            for b in range(r):
-                col.append(u_theta[a][b])
-        cols.append(tuple(col))
-        # endomorphism generators conjugate: E_ab -> M E_ab N
-        for a in range(r):
-            for b in range(r):
-                conj = mat.zero_matrix(ring, r, r)
-                for p in range(r):
-                    for q in range(r):
-                        conj[p][q] = ring.nf(M[p][a] * N[b][q])
-                col = [ring.zero()]
-                for p in range(r):
-                    for q in range(r):
-                        col.append(conj[p][q])
-                cols.append(tuple(col))
+        M, N = F.pair_matrix(i, j), F.pair_inverse(i, j)
+        # the chart-j anchor generator (d/dt, 0), read in the chart-i frame
+        hv = X.inclusion(frozenset([j]), S).transport_derivation((X.charts[j].one(),))
+        u_theta = transition_law(ring, M, mat.zero_matrix(ring, r, r), N, hv)
+        cols = [(theta.pair_matrix(i, j)[0][0],)
+                + tuple(x for row in u_theta for x in row)]
+        cols += [(ring.zero(),) + col for col in _elementary_images(ring, M, N)]
         pm[(i, j)] = mat.mat_from_columns(ring, cols, rank)
     return LocallyFreeSheaf(X, rank, weights, pm, name=f"D({F.name})")
 

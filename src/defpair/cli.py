@@ -189,11 +189,23 @@ class Parser:
     def peek(self) -> Optional[Token]:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
 
+    def accept(self, text) -> bool:
+        """Consume the next token if it is `text`; False at the end of input."""
+        tok = self.peek()
+        if tok is None or tok.text != text:
+            return False
+        self.i += 1
+        return True
+
+    def here(self):
+        """(line, col) of the next token, or of the last one at the end."""
+        tok = self.peek() or (self.tokens[-1] if self.tokens else Token("punct", "", 1, 1))
+        return tok.line, tok.col
+
     def next(self) -> Token:
         tok = self.peek()
         if tok is None:
-            last = self.tokens[-1] if self.tokens else Token("punct", "", 1, 1)
-            raise ScriptError("unexpected end of input", last.line, last.col)
+            raise ScriptError("unexpected end of input", *self.here())
         self.i += 1
         return tok
 
@@ -214,8 +226,7 @@ class Parser:
     def expect_int(self, signed=False) -> int:
         """An integer literal, with a leading '-' when `signed`."""
         sign = 1
-        if signed and self.peek() is not None and self.peek().text == "-":
-            self.next()
+        if signed and self.accept("-"):
             sign = -1
         tok = self.next()
         if tok.kind != "int":
@@ -230,7 +241,7 @@ class Parser:
         while True:
             tok = self.peek()
             if tok is None:
-                raise ScriptError("unterminated expression", 0, 0)
+                raise ScriptError("unterminated expression", *self.here())
             if depth == 0 and tok.text in stop:
                 break
             if tok.text == "(":
@@ -242,22 +253,24 @@ class Parser:
             raise ScriptError("empty expression", tok.line, tok.col)
         return " ".join(parts)
 
+    def _poly_list(self) -> list:
+        """One or more comma-separated expressions."""
+        out = [self._poly_text()]
+        while self.accept(","):
+            out.append(self._poly_text())
+        return out
+
     def _parse_qq_presentation(self):
         self.expect("QQ")
         self.expect("[")
         names = [self.expect_name().text]
-        while self.peek() and self.peek().text == ",":
-            self.next()
+        while self.accept(","):
             names.append(self.expect_name().text)
         self.expect("]")
         relations = []
-        if self.peek() and self.peek().text == "/":
-            self.next()
+        if self.accept("/"):
             self.expect("(")
-            relations.append(self._poly_text())
-            while self.peek().text == ",":
-                self.next()
-                relations.append(self._poly_text())
+            relations = self._poly_list()
             self.expect(")")
         return names, relations
 
@@ -268,8 +281,7 @@ class Parser:
     def _parse_artin(self):
         names, relations = self._parse_qq_presentation()
         if not relations:
-            raise ScriptError("an Artin algebra needs relations",
-                              self.peek().line if self.peek() else 0, 0)
+            raise ScriptError("an Artin algebra needs relations", *self.here())
         return {"vars": names, "relations": relations}
 
     def _matrix_rows(self):
@@ -277,16 +289,10 @@ class Parser:
         self.expect("[")
         while True:
             self.expect("[")
-            row = [self._poly_text()]
-            while self.peek().text == ",":
-                self.next()
-                row.append(self._poly_text())
+            rows.append(self._poly_list())
             self.expect("]")
-            rows.append(row)
-            if self.peek().text == ",":
-                self.next()
-                continue
-            break
+            if not self.accept(","):
+                break
         self.expect("]")
         return rows
 
@@ -306,8 +312,7 @@ class Parser:
     def _sheaf_expr(self) -> str:
         tok = self.expect_name()
         if tok.text == "O":
-            if self.peek() and self.peek().text == "(":
-                self.next()
+            if self.accept("("):
                 k = self.expect_int(signed=True)
                 self.expect(")")
                 return f"O({k})"
@@ -331,10 +336,8 @@ class Parser:
                 deg = self.expect_int(signed=True)
                 self.expect(":")
                 dims.append((deg, self.expect_int()))
-                if self.peek().text == ",":
-                    self.next()
-                    continue
-                break
+                if not self.accept(","):
+                    break
             self.expect(")")
             return {"shape": "abelian", "dims": dims}
         if tok.text == "hom":
@@ -350,17 +353,13 @@ class Parser:
             nxt = self.next()
             text = nxt.text
             # glue sheaf-style arguments O ( - 2 ) into one word
-            if text in ("O", "D") and self.peek() and self.peek().text == "(":
-                depth = 0
-                while True:
+            if text in ("O", "D") and self.accept("("):
+                text += "("
+                depth = 1
+                while depth:
                     t2 = self.next()
                     text += t2.text
-                    if t2.text == "(":
-                        depth += 1
-                    elif t2.text == ")":
-                        depth -= 1
-                        if depth == 0:
-                            break
+                    depth += (t2.text == "(") - (t2.text == ")")
             words.append(text)
         self.expect(";")
         if not words:
@@ -394,10 +393,7 @@ def parse_script(text: str) -> SessionScript:
             ring = parser.expect_name().text
             parser.expect("=")
             parser.expect("(")
-            gens = [parser._poly_text()]
-            while parser.peek().text == ",":
-                parser.next()
-                gens.append(parser._poly_text())
+            gens = parser._poly_list()
             parser.expect(")")
             data = {"ring": ring, "gens": gens}
         elif kind == "module":
@@ -443,15 +439,11 @@ def parse_script(text: str) -> SessionScript:
             parser.expect("deg")
             deg = parser.expect_int(signed=True)
             parser.expect("=")
-            if parser.peek().text == "zero":
-                parser.next()
+            if parser.accept("zero"):
                 coeffs = None
             else:
                 parser.expect("(")
-                coeffs = [parser._poly_text()]
-                while parser.peek().text == ",":
-                    parser.next()
-                    coeffs.append(parser._poly_text())
+                coeffs = parser._poly_list()
                 parser.expect(")")
             data = {"dgla": dgla, "deg": deg, "coeffs": coeffs}
         else:
@@ -537,6 +529,7 @@ class Session:
                 from .dgla import hom_complex_dgla
                 self.objects[decl.name] = hom_complex_dgla(cx)
         elif decl.kind == "element":
+            self._get(d["dgla"])
             self.objects[decl.name] = decl
         else:
             raise ScriptError(f"cannot execute declaration {decl.kind!r}")
@@ -637,6 +630,9 @@ class Session:
         L = self._get(args[0], TableDGLA)
         A = self._get(args[1], ArtinAlgebra)
         xdecl = self._get(args[2], Decl)
+        if xdecl.data["dgla"] != args[0]:
+            raise ScriptError(f"{args[2]!r} is an element of {xdecl.data['dgla']!r}, "
+                              f"not of {args[0]!r}")
         ctx = TableContext(L, A)
         deg = xdecl.data["deg"]
         if xdecl.data["coeffs"] is None:

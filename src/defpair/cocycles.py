@@ -19,12 +19,12 @@ from . import linalg
 from . import matrices as mat
 from .cech import (CechError, GluedScheme, LocallyFreeSheaf, cech_cohomology,
                    cech_weight_complex, extend_scheme, pair_sheaf, sheaf_hom,
-                   tangent_sheaf)
+                   tangent_sheaf, transition_law)
 from .dgla import (GradedMap, PairChain, PairComplexDGLA, QComplex, TraceData,
                    pair_complex_dgla)
 from .mc import PairContext, gauge_act, mc_check
 from .modules import FPModule, FreeComplex
-from .pairs import DerivationPair, check_derivation_pair, exp_pair
+from .pairs import DerivationPair, check_derivation_pair, exp_pair, zero_pair
 from .poly import Polynomial
 from .rings import ArtinAlgebra
 
@@ -63,9 +63,8 @@ class SheafComplex:
         f = self.X.frame(S)
         if j not in self.chart_diffs or self.rank(j) == 0 or self.rank(j + 1) == 0:
             return mat.zero_matrix(ring, self.rank(j + 1), self.rank(j))
-        inc = self.X.inclusion(frozenset([f]), frozenset(S))
-        m = self.chart_diffs[j][f]
-        return [[inc.ring_map(x) for x in row] for row in m]
+        return self.X.inclusion(frozenset([f]), frozenset(S)).map_matrix(
+            self.chart_diffs[j][f])
 
     def chart_free_complex(self, subset) -> FreeComplex:
         S = tuple(sorted(subset))
@@ -78,25 +77,38 @@ class SheafComplex:
         return FreeComplex(ring, ranks, diffs)
 
     def _check_diff_compat(self, S):
-        ring = self.X.ring(S)
-        i, j = S
+        j = S[1]
+        inc_j = self.X.inclusion(frozenset([j]), frozenset(S))
         for deg in self.degrees:
             if self.rank(deg) == 0 or self.rank(deg + 1) == 0:
                 continue
             if deg not in self.chart_diffs:
                 continue
             # frame version must match the conjugated chart-j version
-            dj = self.chart_diffs[deg][j]
-            inc_j = self.X.inclusion(frozenset([j]), frozenset(S))
-            mapped = [[inc_j.ring_map(x) for x in row] for row in dj]
-            Mj1 = self.sheaves[deg + 1].frame_matrix(S, j)
-            Mj0 = self.sheaves[deg].frame_matrix(S, j)
-            N = mat.mat_inverse(ring, Mj0)
-            if N is None:
-                raise CechError("transition not invertible")
-            conj = mat.mat_mul(ring, Mj1, mat.mat_mul(ring, mapped, N))
+            conj = transition_law(self.X.ring(S),
+                                  self.sheaves[deg + 1].frame_change((j,), S),
+                                  inc_j.map_matrix(self.chart_diffs[deg][j]),
+                                  self.sheaves[deg].frame_change_inverse((j,), S))
             if not mat.mat_eq(conj, self.frame_diff(S, deg)):
                 raise CechError(f"differential at degree {deg} does not glue on {S}")
+
+
+def _lift(ring, m):
+    """A base-ring matrix over the extended ring; from_base is a ring map that
+    sends normal forms to normal forms, so nothing is reduced again."""
+    return None if m is None else [[ring.from_base(x) for x in row] for row in m]
+
+
+def _restrict_block(XE: GluedScheme, sub, sup, F_out: LocallyFreeSheaf,
+                    F_in: LocallyFreeSheaf, U, h=None):
+    """Move a block F_in -> F_out (or, with its anchor h over ring(sup), the
+    u-block of a pair) from the extended ring of sub to that of sup: the
+    transition law with the base frame changes lifted by from_base.  Index
+    tuples may repeat a chart, as degenerate cocycle triples do."""
+    ring = XE.ring(sup)
+    return transition_law(ring, _lift(ring, F_out.frame_change(sub, sup)),
+                          XE.inclusion(frozenset(sub), frozenset(sup)).map_matrix(U),
+                          _lift(ring, F_in.frame_change_inverse(sub, sup)), h)
 
 
 def resolution_complex(X: GluedScheme, F: LocallyFreeSheaf) -> SheafComplex:
@@ -149,7 +161,6 @@ class Semicosimplicial:
                     if left is None:
                         continue
                     for tup in self.tuples(2):
-                        ring = self.level_ring(tup)
                         if left[tup] != right[tup]:
                             ok = False
         return ok
@@ -189,8 +200,7 @@ class DeformationSpace:
             diffs = {}
             for j in self.base.degrees:
                 if self.base.rank(j) and self.base.rank(j + 1):
-                    m = self.base.frame_diff(key, j)
-                    diffs[j] = [[ring.from_base(x) for x in row] for row in m]
+                    diffs[j] = _lift(ring, self.base.frame_diff(key, j))
             cx = FreeComplex(ring, ranks, diffs)
             self._cplx[key] = pair_complex_dgla(ring, cx)
         return self._cplx[key]
@@ -201,59 +211,21 @@ class DeformationSpace:
             self._ctx[key] = PairContext(self.pair_complex(key))
         return self._ctx[key]
 
-    # -- frame conversion matrices over extended rings ---------------------
-    def _frame_change(self, j, sub, sup):
-        """Degree-j frame conversion (frame(sub) coords -> frame(sup)) over
-        the extended ring of sup."""
-        subk = tuple(sorted(set(sub)))
-        supk = tuple(sorted(set(sup)))
-        ring = self.XE.ring(supk)
-        fa = self.base.X.frame(subk)
-        fb = self.base.X.frame(supk)
-        if fa == fb:
-            return mat.identity_matrix(ring, self.base.rank(j))
-        base_m = self.base.sheaves[j].frame_matrix(supk, fa)
-        return [[ring.from_base(x) for x in row] for row in base_m]
-
     def restrict_hom(self, sub, sup, f: GradedMap) -> GradedMap:
         """Move a graded map to a larger overlap, conjugating frames."""
-        subk = tuple(sorted(set(sub)))
         supk = tuple(sorted(set(sup)))
-        ring = self.XE.ring(supk)
-        inc = self.XE.inclusion(frozenset(subk), frozenset(supk))
-        blocks = {}
-        for j, m in f.blocks:
-            mapped = [[inc.ring_map(x) for x in row] for row in m]
-            C1 = self._frame_change(j + f.degree, subk, supk)
-            C0 = self._frame_change(j, subk, supk)
-            N0 = mat.mat_inverse(ring, C0)
-            if N0 is None:
-                raise CechError("frame change is not invertible")
-            blocks[j] = mat.mat_mul(ring, C1, mat.mat_mul(ring, mapped, N0))
+        blocks = {j: _restrict_block(self.XE, sub, supk, self.base.sheaves[j + f.degree],
+                                     self.base.sheaves[j], m)
+                  for j, m in f.blocks}
         return self.pair_complex(supk).hom.from_blocks(f.degree, blocks)
 
     def restrict_chain(self, sub, sup, chain: PairChain) -> PairChain:
         """Move a degree-zero pair chain to a larger overlap."""
-        subk = tuple(sorted(set(sub)))
         supk = tuple(sorted(set(sup)))
-        ring = self.XE.ring(supk)
-        inc = self.XE.inclusion(frozenset(subk), frozenset(supk))
-        h = inc.transport_derivation(chain.h_values)
-        blocks = {}
-        for j in self.base.degrees:
-            if self.base.rank(j) == 0:
-                continue
-            U = chain.block(j)
-            mapped = [[inc.ring_map(x) for x in row] for row in U]
-            C = self._frame_change(j, subk, supk)
-            N = mat.mat_inverse(ring, C)
-            if N is None:
-                raise CechError("frame change is not invertible")
-            conj = mat.mat_mul(ring, C, mat.mat_mul(ring, mapped, N))
-            hN = [[ring.apply_derivation(h, N[p][q]) for q in range(len(N[0]))]
-                  for p in range(len(N))]
-            corr = mat.mat_mul(ring, C, hN)
-            blocks[j] = mat.mat_add(ring, conj, corr)
+        h = self.XE.inclusion(frozenset(sub), frozenset(supk)).transport_derivation(
+            chain.h_values)
+        blocks = {j: _restrict_block(self.XE, sub, supk, F, F, chain.block(j), h)
+                  for j, F in self.base.sheaves.items() if F.rank}
         return self.pair_complex(supk).pair_chain(h, blocks)
 
     # -- convention: antisymmetric extension of pair-indexed data ------------
@@ -294,26 +266,14 @@ def z1sc_check(space: DeformationSpace, l: dict, m: dict,
         lj = space.restrict_hom((j,), (i, j), l[j])
         moved = gauge_act(ctx, space.pair_entry(m, i, j), lj, check=False)
         report["gauge"][(i, j)] = hom.eq(li, moved)
-    triples = [tuple(sorted(S)) for S in X.subsets(3)]
-    degenerate = []
-    for i in range(X.nchart):
-        for j in range(X.nchart):
-            for tup in ((i, i, j), (i, j, i), (j, i, i)):
-                if max(tup) < X.nchart and len(set(tup)) <= 2:
-                    degenerate.append(tup)
-    for tup in triples + sorted(set(degenerate)):
+    for tup in X.cocycle_triples():
         i, j, k = tup
         key = tuple(sorted(set(tup)))
-        if frozenset(key) not in [frozenset(s) for s in space.base.X.rings]:
-            continue
         D = space.pair_complex(key)
         ctx = space.context(key)
-        mjk = space.restrict_chain((j, k) if j != k else (j,), key,
-                                   space.pair_entry(m, j, k))
-        mik = space.restrict_chain((i, k) if i != k else (i,), key,
-                                   space.pair_entry(m, i, k))
-        mij = space.restrict_chain((i, j) if i != j else (i,), key,
-                                   space.pair_entry(m, i, j))
+        mjk = space.restrict_chain((j, k), key, space.pair_entry(m, j, k))
+        mik = space.restrict_chain((i, k), key, space.pair_entry(m, i, k))
+        mij = space.restrict_chain((i, j), key, space.pair_entry(m, i, j))
         lhs = ctx.log_action(ctx.compose_actions(
             ctx.exp_action(mjk),
             ctx.compose_actions(ctx.exp_action(D.neg_pair(mik)),
@@ -397,35 +357,17 @@ class PairCocycleSpace:
         return check_derivation_pair(ring, M, h_values, u_values)
 
     def restrict_pair(self, sub, sup, p: DerivationPair) -> DerivationPair:
-        subk = tuple(sorted(set(sub)))
         supk = tuple(sorted(set(sup)))
-        ring = self.XE.ring(supk)
-        inc = self.XE.inclusion(frozenset(subk), frozenset(supk))
-        h = inc.transport_derivation(p.h_values)
+        h = self.XE.inclusion(frozenset(sub), frozenset(supk)).transport_derivation(
+            p.h_values)
         r = self.F.rank
         U = [[p.u_values[i][a] for i in range(r)] for a in range(r)]
-        mapped = [[inc.ring_map(x) for x in row] for row in U]
-        fa = self.X.frame(subk)
-        fb = self.X.frame(supk)
-        if fa == fb:
-            C = mat.identity_matrix(ring, r)
-        else:
-            C = [[ring.from_base(x) for x in row]
-                 for row in self.F.frame_matrix(supk, fa)]
-        N = mat.mat_inverse(ring, C)
-        conj = mat.mat_mul(ring, C, mat.mat_mul(ring, mapped, N))
-        hN = [[ring.apply_derivation(h, N[p2][q]) for q in range(r)]
-              for p2 in range(r)]
-        out = mat.mat_add(ring, conj, mat.mat_mul(ring, C, hN))
-        return self.pair(supk, h, out)
+        return self.pair(supk, h,
+                         _restrict_block(self.XE, sub, supk, self.F, self.F, U, h))
 
     def entry(self, x: dict, i, j) -> DerivationPair:
         if i == j:
-            ring = self.XE.ring((i,))
-            M = self.module((i,))
-            return DerivationPair(ring, M,
-                                  tuple(ring.zero() for _ in range(ring.nvars)),
-                                  tuple(M.zero() for _ in range(M.ngens)))
+            return zero_pair(self.XE.ring((i,)), self.module((i,)))
         if (i, j) in x:
             return x[(i, j)]
         if (j, i) in x:
@@ -439,23 +381,13 @@ def locally_trivial_cocycle_check(space: PairCocycleSpace, x: dict) -> dict:
     On success returns the transition data (theta, psi) = exp(x_ij) per
     pair, re-validated as automorphism pairs.
     """
-    X = space.X
     report = {"triples": {}, "passed": True}
-    triples = [tuple(sorted(S)) for S in X.subsets(3)]
-    degenerate = sorted({(i, i, j) for i in range(X.nchart) for j in range(X.nchart)}
-                        | {(i, j, i) for i in range(X.nchart) for j in range(X.nchart)}
-                        | {(i, j, j) for i in range(X.nchart) for j in range(X.nchart)})
-    for tup in triples + [t for t in degenerate if len(set(t)) <= 2]:
+    for tup in space.X.cocycle_triples():
         i, j, k = tup
         key = tuple(sorted(set(tup)))
-        if frozenset(key) not in [frozenset(s) for s in X.rings]:
-            continue
-        pj_k = space.restrict_pair((j, k) if j != k else (j,), key,
-                                   space.entry(x, j, k))
-        pi_k = space.restrict_pair((i, k) if i != k else (i,), key,
-                                   space.entry(x, i, k))
-        pi_j = space.restrict_pair((i, j) if i != j else (i,), key,
-                                   space.entry(x, i, j))
+        pj_k = space.restrict_pair((j, k), key, space.entry(x, j, k))
+        pi_k = space.restrict_pair((i, k), key, space.entry(x, i, k))
+        pi_j = space.restrict_pair((i, j), key, space.entry(x, i, j))
         composed = exp_pair(pj_k).compose(exp_pair(pi_k.neg())).compose(exp_pair(pi_j))
         ok = composed.is_identity()
         report["triples"][tup] = ok
@@ -513,7 +445,6 @@ def traced_cocycle_as_pairs(space: DeformationSpace, traced: dict,
     """Repackage traced pairs as cocycle data for the determinant sheaf."""
     out = {}
     for key, p in traced.items():
-        ring = det_space.XE.ring(tuple(sorted(key)))
         out[key] = det_space.pair(tuple(sorted(key)), p.h_values,
                                   [[p.u_values[0][0]]])
     return out
@@ -685,7 +616,6 @@ def solve_first_order_witness(space: PairCocycleSpace, x: dict) -> Optional[dict
             for m in q.terms:
                 support.add(base.ambient.mono_weight(m) + gw)
     a_coords = {i: {} for i in range(X.nchart)}
-    from . import linalg
     for w in sorted(support):
         qc, bases = cech_weight_complex(X, Dsheaf, w)
         target = [Fraction(0)] * len(bases[1])

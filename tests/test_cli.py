@@ -41,6 +41,16 @@ def test_parse_errors_have_positions():
         parse_script("widget W = 3;")
     with pytest.raises(ScriptError, match="expected an integer, found '-' at 1:21"):
         parse_script("dgla L = abelian (1:-1);")
+    # truncated scripts fail at their last token, not with a traceback
+    for text, message in [
+            ("dgla L = abelian (1:1", "unexpected end of input at 1:21"),
+            ("module M over R = coker [[x]", "unexpected end of input at 1:28"),
+            ("element y in L deg 1 =", "unexpected end of input at 1:22"),
+            ("ring R = QQ[x] / (x", "unterminated expression at 1:19"),
+            ("ideal I in R = (x", "unterminated expression at 1:17")]:
+        with pytest.raises(ScriptError) as ei:
+            parse_script(text)
+        assert str(ei.value) == message
 
 
 def test_round_trip_pretty():
@@ -162,6 +172,15 @@ def test_wrong_object_kind_keeps_later_reports():
                          "cmd mc-check L A L; cmd cech-cohomology P1 O;")
     assert [r.status for r in reports] == ["error", "ok"]
     assert reports[0].payload["message"] == "'L' is a TableDGLA, expected Decl"
+    reports = run_script("artin A = QQ[e]/(e^2); element y in Q deg 1 = (e);"
+                         "cmd cech-cohomology P1 O;")
+    assert [r.status for r in reports] == ["error", "ok"]
+    assert reports[0].payload["message"] == "unknown name 'Q'"
+    reports = run_script("artin A = QQ[e]/(e^2); dgla L = abelian (1:1);"
+                         "dgla L2 = abelian (1:1); element x in L deg 1 = (e);"
+                         "cmd mc-check L2 A x; cmd mc-check L A x;")
+    assert [r.status for r in reports] == ["error", "ok"]
+    assert reports[0].payload["message"] == "'x' is an element of 'L', not of 'L2'"
 
 
 def test_rational_coefficients_in_scripts():
@@ -182,6 +201,15 @@ def test_readme_sample_output_is_unchanged(capsys):
     data = Path(__file__).parent / "data"
     assert main(["run", str(data / "readme_sample.defpair"), "--json"]) == 0
     assert capsys.readouterr().out == (data / "readme_sample.json").read_text()
+
+
+def test_cech_pairs_sample_output_is_unchanged(capsys):
+    # cech_pairs.json is the committed `--json` output of a script that runs
+    # the Cech, tangent-space and bridge commands on the three-chart cover and
+    # on pair sheaves D(F), which move pairs between overlaps
+    data = Path(__file__).parent / "data"
+    assert main(["run", str(data / "cech_pairs.defpair"), "--json"]) == 0
+    assert capsys.readouterr().out == (data / "cech_pairs.json").read_text()
 
 
 def test_json_determinism():

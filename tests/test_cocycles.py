@@ -3,7 +3,9 @@
 import pytest
 from fractions import Fraction
 
-from defpair.cech import (line_bundle, pair_sheaf, projective_line,
+from defpair import matrices
+from defpair.cech import (CechError, LocallyFreeSheaf, line_bundle, pair_sheaf,
+                          projective_line,
                           projective_line_three_charts, sheaf_hom,
                           structure_sheaf, tangent_sheaf, det_of_complex)
 from defpair.cocycles import (DeformationSpace, PairCocycleSpace, SheafComplex,
@@ -295,3 +297,35 @@ def test_cech_trace_two_term_alternating(P1, eps2):
     x = traced_cocycle_as_pairs(space, traced, det_space)
     rep = locally_trivial_cocycle_check(det_space, x)
     assert rep["passed"]
+
+
+# -- transitions --------------------------------------------------------------------
+
+def test_non_unit_transition_is_refused(P1, eps2):
+    ring = P1.ring((0, 1))
+    F = LocallyFreeSheaf(P1, 1, {0: (0,), 1: (0,)}, {(0, 1): [[ring.parse("s + 1")]]})
+    space = PairCocycleSpace(P1, F, eps2)
+    chart = space.XE.ring((1,))
+    p = space.pair((1,), tuple(chart.zero() for _ in range(chart.nvars)),
+                   [[chart.zero()]])
+    with pytest.raises(CechError, match="not invertible"):
+        space.restrict_pair((1,), (0, 1), p)
+
+
+def test_each_stored_transition_is_inverted_once(P1x3, eps2, monkeypatch):
+    sheaves = {-1: line_bundle(P1x3, -1), 0: line_bundle(P1x3, 1)}
+    space = DeformationSpace(SheafComplex(P1x3, sheaves), eps2)
+    l, m = zero_cocycle(space, P1x3)
+    calls = {}
+    inverse = matrices.mat_inverse
+
+    def counted(ring, a):
+        calls[id(a)] = calls.get(id(a), 0) + 1
+        return inverse(ring, a)
+
+    monkeypatch.setattr(matrices, "mat_inverse", counted)
+    assert z1sc_check(space, l, m)["passed"]
+    stored = {id(F.pair_matrix(i, j)) for F in sheaves.values()
+              for i, j in ((0, 1), (0, 2), (1, 2))}
+    assert calls and set(calls) <= stored
+    assert max(calls.values()) == 1
