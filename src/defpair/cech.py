@@ -22,7 +22,7 @@ from typing import Optional
 
 from . import matrices as mat
 from .dgla import QComplex
-from .poly import GREVLEX, PolyRing, Polynomial
+from .poly import GREVLEX, PolyRing, Polynomial, mono_div
 from .rings import ArtinAlgebra, QuotientRing, RingMap, extend_ring
 
 
@@ -46,19 +46,21 @@ def weight_enumerable(ring: QuotientRing) -> bool:
         for j in range(i + 1, ring.nvars):
             if w[i] * w[j] < 0:
                 mono = tuple(1 if t in (i, j) else 0 for t in range(ring.nvars))
-                from .poly import mono_div
                 if not any(mono_div(mono, l) is not None for l in leads):
                     return False
     return True
 
 
 def weight_monomials(ring: QuotientRing, w: int) -> list:
-    """All standard monomials of total weight w (exact, finite)."""
+    """All standard monomials of total weight w (exact, finite); computed
+    once per ring and weight and kept on the ring, so callers share the list
+    and must not change it."""
+    if w in ring.weight_bases:
+        return ring.weight_bases[w]
     if not weight_enumerable(ring):
         raise CechError("cannot truncate: ring lacks usable weight data")
     weights = ring.ambient.weights
     leads = [m for _, m, _ in ring.leads]
-    from .poly import mono_div
     n = ring.nvars
     cap = abs(w)
     out = []
@@ -77,6 +79,7 @@ def weight_monomials(ring: QuotientRing, w: int) -> list:
 
     rec(0, cap, [], 0)
     out.sort(key=ring.ambient.order.key)
+    ring.weight_bases[w] = out
     return out
 
 
@@ -157,6 +160,7 @@ class GluedScheme:
         self.inclusions = {(frozenset(a), frozenset(b)): v
                            for (a, b), v in inclusions.items()}
         self.artin = artin
+        self._identities = {}
         for i, ch in enumerate(self.charts):
             self.rings.setdefault(frozenset([i]), ch)
 
@@ -176,11 +180,11 @@ class GluedScheme:
     def inclusion(self, sub, sup) -> ChartInclusion:
         a, b = frozenset(sub), frozenset(sup)
         if a == b:
-            ring = self.ring(a)
-            ident = RingMap.identity(ring)
-            rows = [[ring.one() if i == j else ring.zero()
-                     for j in range(ring.nvars)] for i in range(ring.nvars)]
-            return ChartInclusion(ident, rows)
+            if a not in self._identities:
+                ring = self.ring(a)
+                self._identities[a] = ChartInclusion(
+                    RingMap.identity(ring), mat.identity_matrix(ring, ring.nvars))
+            return self._identities[a]
         if (a, b) not in self.inclusions:
             raise CechError(f"no inclusion {sorted(a)} -> {sorted(b)}")
         return self.inclusions[(a, b)]
@@ -285,7 +289,8 @@ class LocallyFreeSheaf:
     in chart-i generator coordinates.  The sheaf is the one place that
     knows frames and transitions: each stored transition is inverted at most
     once, and every frame change over a larger overlap is its image under
-    the chart inclusion.
+    the chart inclusion.  A sheaf is immutable once built; it keeps its
+    inverses, frame changes, weight complexes and D(F), each computed once.
     """
 
     def __init__(self, scheme: GluedScheme, rank: int, weights: dict,
@@ -296,6 +301,9 @@ class LocallyFreeSheaf:
         self.pair_matrices = {tuple(sorted(k)): v for k, v in pair_matrices.items()}
         self.name = name
         self._inverses = {}
+        self._frames = {}
+        self._complexes = {}
+        self._pair_sheaf = None
         for i in range(scheme.nchart):
             if len(self.weights.get(i, ())) != rank:
                 raise CechError("one weight per generator per chart expected")
@@ -322,18 +330,23 @@ class LocallyFreeSheaf:
     def frame_change(self, sub, sup):
         """Matrix converting frame(sub) coordinates into frame(sup)
         coordinates over ring(sup); None when the two frames agree."""
-        return self._frame_image(sub, sup, self.pair_matrix)
+        return self._frame_image(sub, sup, False)
 
     def frame_change_inverse(self, sub, sup):
         """Inverse of frame_change(sub, sup); None when the frames agree."""
-        return self._frame_image(sub, sup, self.pair_inverse)
+        return self._frame_image(sub, sup, True)
 
-    def _frame_image(self, sub, sup, stored):
+    def _frame_image(self, sub, sup, inverse):
         b = frozenset(sup)
         fa, fb = self.scheme.frame(sub), self.scheme.frame(b)
         if fa == fb:
             return None
-        return self.scheme.inclusion(frozenset((fb, fa)), b).map_matrix(stored(fb, fa))
+        key = (fa, b, inverse)
+        if key not in self._frames:
+            stored = self.pair_inverse if inverse else self.pair_matrix
+            self._frames[key] = self.scheme.inclusion(frozenset((fb, fa)), b).map_matrix(
+                stored(fb, fa))
+        return self._frames[key]
 
     def restrict_between(self, sub, sup, coords):
         """Restrict frame coordinates over ring(sub) to ring(sup)."""
@@ -381,6 +394,12 @@ class LocallyFreeSheaf:
                     raise CechError("section term escapes the weight basis")
                 coords[pos[key]] = c
         return coords
+
+    def weight_complex(self, w):
+        """cech_weight_complex(scheme, self, w), built once per weight."""
+        if w not in self._complexes:
+            self._complexes[w] = cech_weight_complex(self.scheme, self, w)
+        return self._complexes[w]
 
     def weight_span(self):
         """[min, max] generator weight over all charts."""
@@ -508,8 +527,10 @@ def pair_sheaf(F: LocallyFreeSheaf) -> LocallyFreeSheaf:
     Frame on chart i: (the chart frame derivation with zero values, then the
     elementary endomorphisms E_ab).  Each chart-j generator is moved to the
     chart-i frame by the pair transition law, which produces the twisted
-    extension of Theta by End(F).
+    extension of Theta by End(F).  Built once per F and kept on it.
     """
+    if F._pair_sheaf is not None:
+        return F._pair_sheaf
     X = F.scheme
     r = F.rank
     rank = 1 + r * r
@@ -533,7 +554,8 @@ def pair_sheaf(F: LocallyFreeSheaf) -> LocallyFreeSheaf:
                 + tuple(x for row in u_theta for x in row)]
         cols += [(ring.zero(),) + col for col in _elementary_images(ring, M, N)]
         pm[(i, j)] = mat.mat_from_columns(ring, cols, rank)
-    return LocallyFreeSheaf(X, rank, weights, pm, name=f"D({F.name})")
+    F._pair_sheaf = LocallyFreeSheaf(X, rank, weights, pm, name=f"D({F.name})")
+    return F._pair_sheaf
 
 
 def det_line(F: LocallyFreeSheaf) -> LocallyFreeSheaf:
@@ -597,43 +619,42 @@ def det_of_complex(sheaves: dict) -> LocallyFreeSheaf:
 
 def cech_weight_complex(X: GluedScheme, F: LocallyFreeSheaf, w: int):
     """The ordered Cech complex of the weight-w line as a QComplex, together
-    with the labelled bases per degree."""
+    with the labelled bases per degree.  The restriction from tup to sup is
+    one block of the differential, built from the sup frame change."""
     levels = {}
     bases = {}
+    tuples = {}
     max_p = min(X.nchart, 3)
     for p in range(max_p):
-        tuples = sorted(tuple(sorted(S)) for S in X.subsets(p + 1))
-        labels = []
-        for tup in tuples:
-            for lab in F.section_basis(tup, w):
-                labels.append((tup, lab))
-        bases[p] = labels
-        levels[p] = len(labels)
+        tuples[p] = sorted(tuple(sorted(S)) for S in X.subsets(p + 1))
+        bases[p] = [(tup, lab) for tup in tuples[p] for lab in F.section_basis(tup, w)]
+        levels[p] = len(bases[p])
     maps = {}
     for p in range(max_p - 1):
-        rows = len(bases[p + 1])
-        cols = len(bases[p])
-        matrix = [[Fraction(0)] * cols for _ in range(rows)]
-        tpos = {}
-        for t, (tup, lab) in enumerate(bases[p + 1]):
-            tpos.setdefault(tup, {})[lab] = t
-        for c, (tup, (mono, gen)) in enumerate(bases[p]):
-            ring = X.ring(tup)
-            vec = [ring.zero()] * F.rank
-            vec[gen] = ring.ambient.monomial(mono)
-            for sup in sorted(tuple(sorted(S)) for S in X.subsets(p + 2)):
-                if not set(tup) <= set(sup):
-                    continue
+        matrix = [[Fraction(0)] * levels[p] for _ in range(levels[p + 1])]
+        tpos = {lab: t for t, lab in enumerate(bases[p + 1])}
+        first = 0  # column of the first basis vector of tup
+        for tup in tuples[p]:
+            source = X.ring(tup).ambient
+            tup_basis = F.section_basis(tup, w)
+            for sup in (s for s in tuples[p + 1] if set(tup) <= set(s)):
                 # position of the omitted index gives the sign
-                omitted = (set(sup) - set(tup)).pop()
-                h = sorted(sup).index(omitted)
-                sign = Fraction((-1) ** h)
-                restricted = F.restrict_between(tup, sup, vec)
-                sup_basis = F.section_basis(sup, w)
-                coords = F.section_coords(sup, w, restricted, basis=sup_basis)
-                for x, lab2 in zip(coords, sup_basis):
-                    if x:
-                        matrix[tpos[sup][lab2]][c] += sign * x
+                sign = (-1) ** sup.index((set(sup) - set(tup)).pop())
+                ring = X.ring(sup)
+                rmap = X.inclusion(tup, sup).ring_map
+                conv = F.frame_change(tup, sup)
+                for c, (mono, gen) in enumerate(tup_basis, first):
+                    image = rmap(source.monomial(mono))
+                    for a in range(F.rank):
+                        if conv is not None:
+                            x = ring.mul(conv[a][gen], image)
+                        else:
+                            x = image if a == gen else ring.zero()
+                        for m, coeff in x.terms.items():
+                            if (sup, (m, a)) not in tpos:
+                                raise CechError("section term escapes the weight basis")
+                            matrix[tpos[(sup, (m, a))]][c] += sign * coeff
+            first += len(tup_basis)
         maps[p] = matrix
     return QComplex(dict(levels), maps), bases
 
@@ -649,11 +670,13 @@ def cech_cohomology(X: GluedScheme, F: LocallyFreeSheaf,
     if weight_bounds is None:
         lo, hi = F.weight_span()
         weight_bounds = (lo - 1, hi + 1)
+    if X is not F.scheme:
+        raise CechError(f"{F.name} is a sheaf on another scheme")
     lo, hi = weight_bounds
     dims = {}
     by_weight = {}
     for w in range(lo - margin, hi + margin + 1):
-        qc, _ = cech_weight_complex(X, F, w)
+        qc, _ = F.weight_complex(w)
         h = qc.cohomology()
         by_weight[w] = h
         inside = lo <= w <= hi

@@ -469,6 +469,7 @@ class Session:
         self.caps = caps
         self.objects = {}
         self._schemes = {}
+        self._sheaves = {}
 
     def scheme(self, name: str):
         if name in self.objects:
@@ -481,17 +482,23 @@ class Session:
         raise ScriptError(f"unknown scheme {name!r}")
 
     def sheaf(self, expr: str, X):
+        """The sheaf expr on X, built once per session, so its inverses,
+        frame changes and weight complexes are shared by every command."""
         if expr in self.objects:
             return self.objects[expr]
-        if expr == "O":
-            return structure_sheaf(X)
-        if expr.startswith("O("):
-            return line_bundle(X, int(expr[2:-1]))
-        if expr == "Theta":
-            return tangent_sheaf(X)
-        if expr.startswith("D(") and expr.endswith(")"):
-            return pair_sheaf(self.sheaf(expr[2:-1], X))
-        raise ScriptError(f"unknown sheaf {expr!r}")
+        if (expr, X) not in self._sheaves:
+            if expr == "O":
+                F = structure_sheaf(X)
+            elif expr.startswith("O("):
+                F = line_bundle(X, int(expr[2:-1]))
+            elif expr == "Theta":
+                F = tangent_sheaf(X)
+            elif expr.startswith("D(") and expr.endswith(")"):
+                F = pair_sheaf(self.sheaf(expr[2:-1], X))
+            else:
+                raise ScriptError(f"unknown sheaf {expr!r}")
+            self._sheaves[(expr, X)] = F
+        return self._sheaves[(expr, X)]
 
     def declare(self, decl: Decl):
         d = decl.data

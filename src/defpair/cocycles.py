@@ -18,8 +18,8 @@ from typing import Optional
 from . import linalg
 from . import matrices as mat
 from .cech import (CechError, GluedScheme, LocallyFreeSheaf, cech_cohomology,
-                   cech_weight_complex, extend_scheme, pair_sheaf, sheaf_hom,
-                   tangent_sheaf, transition_law)
+                   extend_scheme, pair_sheaf, sheaf_hom, tangent_sheaf,
+                   transition_law)
 from .dgla import (GradedMap, PairChain, PairComplexDGLA, QComplex, TraceData,
                    pair_complex_dgla)
 from .mc import PairContext, gauge_act, mc_check
@@ -156,10 +156,8 @@ class Semicosimplicial:
                 family[tup] = tuple(vec)
             for k in range(2):
                 for l in range(k + 1):
-                    left = self.face(k + 1, self.face(l, family, 1), 2) if k >= l else None
+                    left = self.face(k + 1, self.face(l, family, 1), 2)
                     right = self.face(l, self.face(k, family, 1), 2)
-                    if left is None:
-                        continue
                     for tup in self.tuples(2):
                         if left[tup] != right[tup]:
                             ok = False
@@ -471,24 +469,18 @@ def pair_tangent_spaces(X: GluedScheme, F: LocallyFreeSheaf,
     exact = True
     max_p = min(X.nchart, 3) - 1
     for w in range(lo, hi + 1):
-        qt, bt = cech_weight_complex(X, D, w)
-        qe, be = cech_weight_complex(X, H, w)
-        qth, bth = cech_weight_complex(X, T, w)
-        # coordinate inclusion Hom -> D and projection D -> Theta per degree
+        qt, bt = D.weight_complex(w)
+        qe, be = H.weight_complex(w)
+        qth, bth = T.weight_complex(w)
+        # coordinate inclusion Hom -> D (E_ab is generator 1 + ab) and
+        # projection D -> Theta (the transpose of Theta -> generator 0)
         incl = {}
         proj = {}
         for p in range(max_p + 1):
             dpos = {lab: t for t, lab in enumerate(bt[p])}
-            mi = [[Fraction(0)] * len(be[p]) for _ in range(len(bt[p]))]
-            for c, (tup, (mono, gen)) in enumerate(be[p]):
-                mi[dpos[(tup, (mono, gen + 1))]][c] = Fraction(1)
-            incl[p] = mi
-            mp = [[Fraction(0)] * len(bt[p]) for _ in range(len(bth[p]))]
-            tpos = {lab: t for t, lab in enumerate(bth[p])}
-            for c, (tup, (mono, gen)) in enumerate(bt[p]):
-                if gen == 0:
-                    mp[tpos[(tup, (mono, 0))]][c] = Fraction(1)
-            proj[p] = mp
+            incl[p] = _unit_columns(len(bt[p]), [dpos[(tup, (mono, gen + 1))]
+                                                 for tup, (mono, gen) in be[p]])
+            proj[p] = list(zip(*_unit_columns(len(bt[p]), [dpos[lab] for lab in bth[p]])))
         i_ranks = [linalg.rank(_induced_map(qe, qt, incl, p)) for p in range(max_p + 1)]
         for p in range(max_p + 1):
             rt_, rth_ = qt.cohomology_dim(p), qth.cohomology_dim(p)
@@ -505,6 +497,14 @@ def pair_tangent_spaces(X: GluedScheme, F: LocallyFreeSheaf,
             "les_exact": exact}
 
 
+def _unit_columns(nrows, rows):
+    """The 0/1 matrix with nrows rows whose column c is the unit vector e_rows[c]."""
+    out = [[Fraction(0)] * len(rows) for _ in range(nrows)]
+    for c, r in enumerate(rows):
+        out[r][c] = Fraction(1)
+    return out
+
+
 def _induced_map(src_qc: QComplex, tgt_qc: QComplex, mats: dict, p: int):
     """Induced map on H^p along a chain map given by per-degree matrices."""
     images = [linalg.mat_vec(mats[p], v) for v in src_qc.cohomology_basis(p)]
@@ -513,39 +513,14 @@ def _induced_map(src_qc: QComplex, tgt_qc: QComplex, mats: dict, p: int):
 
 def _connecting_map(sub_qc, tot_qc, quot_qc, incl, proj, p):
     """Snake connecting H^p(quot) -> H^{p+1}(sub) for a degreewise-split
-    short exact sequence of complexes given by inclusion/projection."""
-    # splitting: lift a quotient vector through proj using the coordinate
-    # structure (proj has a right inverse with 0/1 entries)
-    lift = _right_inverse_01(proj[p], tot_qc.dims.get(p, 0))
-    incl_left = _left_inverse_01(incl.get(p + 1, []), sub_qc.dims.get(p + 1, 0),
-                                 tot_qc.dims.get(p + 1, 0))
+    short exact sequence of complexes given by inclusion/projection.  Both
+    are 0/1 coordinate maps, so their transposes split them."""
+    lift = list(zip(*proj[p]))
+    incl_left = list(zip(*incl.get(p + 1, [])))
     pulled = [linalg.mat_vec(incl_left, linalg.mat_vec(tot_qc.matrix(p),
                                                        linalg.mat_vec(lift, v)))
               for v in quot_qc.cohomology_basis(p)]
     return sub_qc.cohomology_coords(p + 1, pulled)
-
-
-def _right_inverse_01(m, ncols):
-    """Right inverse of a 0/1 coordinate projection (one 1 per row)."""
-    rows = len(m)
-    out = [[Fraction(0)] * rows for _ in range(ncols)]
-    for i in range(rows):
-        for j in range(ncols):
-            if m[i][j] == 1:
-                out[j][i] = Fraction(1)
-                break
-    return out
-
-
-def _left_inverse_01(m, src_dim, tgt_dim):
-    """Left inverse of a 0/1 coordinate inclusion (one 1 per column)."""
-    out = [[Fraction(0)] * tgt_dim for _ in range(src_dim)]
-    for j in range(src_dim):
-        for i in range(tgt_dim):
-            if i < len(m) and j < len(m[i]) and m[i][j] == 1:
-                out[j][i] = Fraction(1)
-                break
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -617,18 +592,17 @@ def solve_first_order_witness(space: PairCocycleSpace, x: dict) -> Optional[dict
                 support.add(base.ambient.mono_weight(m) + gw)
     a_coords = {i: {} for i in range(X.nchart)}
     for w in sorted(support):
-        qc, bases = cech_weight_complex(X, Dsheaf, w)
+        qc, bases = Dsheaf.weight_complex(w)
         target = [Fraction(0)] * len(bases[1])
         pos = {lab: t for t, lab in enumerate(bases[1])}
         filled = False
+        # the weight-w terms of each section are the labels of bases[1]
         for key, sec in comp.items():
-            base = X.ring(key)
-            sec_w = _weight_slice(base, Dsheaf, X.frame(key), sec, w)
-            coords = Dsheaf.section_coords(key, w, sec_w)
-            for val, lab in zip(coords, Dsheaf.section_basis(key, w)):
-                if val:
-                    target[pos[(key, lab)]] = val
-                    filled = True
+            for gidx, q in enumerate(sec):
+                for m, c in q.terms.items():
+                    if (key, (m, gidx)) in pos:
+                        target[pos[(key, (m, gidx))]] = c
+                        filled = True
         if not filled:
             continue
         # delta a = -x  (so that x = a_i - a_j on each pair)
@@ -666,7 +640,7 @@ def _pair_to_section(space: PairCocycleSpace, key, p: DerivationPair, eps_mono):
     num = p.h_values[frame_var_idx]
     # both are eps * (base element); divide exactly in the base ring
     c_anchor = _eps_coefficient(ring, base, num, eps_mono)
-    d_anchor = _eps_unit_coefficient(ring, base, denom, space.A)
+    d_anchor = _eps_coefficient(ring, base, denom, (0,) * len(space.A.variables))
     theta_coord = _exact_divide(base, c_anchor, d_anchor)
     r = F.rank
     sec = [theta_coord]
@@ -676,29 +650,9 @@ def _pair_to_section(space: PairCocycleSpace, key, p: DerivationPair, eps_mono):
     return sec
 
 
-def _weight_slice(base, Dsheaf, frame, sec, w):
-    """Keep only the weight-w part of a section coordinate vector."""
-    out = []
-    for gidx, q in enumerate(sec):
-        gw = Dsheaf.weights[frame][gidx]
-        terms = {m: c for m, c in q.terms.items()
-                 if base.ambient.mono_weight(m) == w - gw}
-        out.append(Polynomial(base.ambient, terms))
-    return out
-
-
-def _eps_coefficient(ring, base, value, eps_mono):
-    comps = ring.artin_components(value)
-    piece = comps.get(eps_mono)
-    if piece is None:
-        return base.zero()
-    return piece
-
-
-def _eps_unit_coefficient(ring, base, value, A):
-    comps = ring.artin_components(value)
-    zero_mono = (0,) * len(A.variables)
-    return comps.get(zero_mono, base.zero())
+def _eps_coefficient(ring, base, value, mono):
+    """The base-ring coefficient of the A-basis monomial mono in value."""
+    return ring.artin_components(value).get(mono, base.zero())
 
 
 def _exact_divide(base, num: Polynomial, den: Polynomial) -> Polynomial:

@@ -10,7 +10,7 @@ delta(f) = d o f - (-1)^{|f|} f o d, and the bracket is the graded commutator
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -37,11 +37,14 @@ class QComplex:
     """Cochain complex of finite-dimensional QQ-spaces.
 
     maps[k] is the matrix of d: C^k -> C^{k+1} (rows x cols =
-    dims[k+1] x dims[k]).
+    dims[k+1] x dims[k]).  A QComplex is immutable once built: it computes
+    the rank of each map and the cohomology basis of each degree once.
     """
 
     dims: dict
     maps: dict
+    _ranks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _bases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for k, a in self.maps.items():
@@ -62,13 +65,16 @@ class QComplex:
             return self.maps[k]
         return [[Fraction(0)] * cols for _ in range(rows)]
 
+    def rank(self, k) -> int:
+        """Rank of d: C^k -> C^{k+1}."""
+        if k not in self._ranks:
+            nonzero = self.dims.get(k, 0) and self.dims.get(k + 1, 0)
+            self._ranks[k] = linalg.rank(self.matrix(k)) if nonzero else 0
+        return self._ranks[k]
+
     def cohomology_dim(self, k) -> int:
         dk = self.dims.get(k, 0)
-        if dk == 0:
-            return 0
-        rank_out = linalg.rank(self.matrix(k)) if self.dims.get(k + 1, 0) else 0
-        rank_in = linalg.rank(self.matrix(k - 1)) if self.dims.get(k - 1, 0) else 0
-        return dk - rank_out - rank_in
+        return dk - self.rank(k) - self.rank(k - 1) if dk else 0
 
     def cohomology(self):
         return {k: self.cohomology_dim(k) for k in sorted(self.dims)}
@@ -83,19 +89,21 @@ class QComplex:
 
     def cohomology_basis(self, k):
         """Representatives of a basis of H^k as coordinate vectors."""
+        if k in self._bases:
+            return self._bases[k]
         dk = self.dims.get(k, 0)
-        if dk == 0:
-            return []
-        if self.dims.get(k + 1, 0):
-            kernel = linalg.nullspace(self.matrix(k))
-        else:
-            kernel = [list(r) for r in linalg.identity(dk)]
         reps = []
-        current = linalg.rref(self._boundary_rows(k))[0]
-        for v in kernel:
-            if not linalg.row_space_contains(current, v):
-                reps.append(v)
-                current = current + [v]
+        if dk:
+            if self.dims.get(k + 1, 0):
+                kernel = linalg.nullspace(self.matrix(k))
+            else:
+                kernel = [list(r) for r in linalg.identity(dk)]
+            current = linalg.rref(self._boundary_rows(k))[0]
+            for v in kernel:
+                if not linalg.row_space_contains(current, v):
+                    reps.append(v)
+                    current = current + [v]
+        self._bases[k] = reps
         return reps
 
     def cohomology_coords(self, k, cocycles):

@@ -11,7 +11,16 @@ differences and rational multiples of normal forms (ring or module) are
 normal forms.  Only products with ring elements, substitutions, derivation
 values, solver outputs (`solve_in_image`/`syzygies` tags are not reduced
 modulo I) and constructors or parsers of outside input reduce; normal forms
-are compared with `==`.
+are compared with `==`.  The exception among substitutions: a RingMap that
+sends the variables injectively to variables and standard monomials to
+standard monomials (decided once, from the leads of both rings) renames
+exponents without reducing; `RingMap.check` always substitutes and reduces,
+because relations are not normal forms.
+
+Derived data is cached on the object it belongs to: a ring keeps its
+standard monomials per torus weight (`weight_bases`, filled by the Cech
+layer); a sheaf its inverses, frame changes, weight complexes and D(F); a
+`QComplex` its ranks and cohomology bases; a CLI session its sheaves.
 
 An Artin local algebra A = QQ[t..]/J with residue field QQ is a quotient ring
 that additionally knows its finite monomial basis and the nilpotency index of
@@ -58,6 +67,8 @@ class QuotientRing:
         self.smooth_claimed = smooth_claimed
         self.caps = caps
         self._vars = tuple(self.nf(ambient.var(i)) for i in range(ambient.nvars))
+        # standard monomials of each torus weight, kept by cech.weight_monomials
+        self.weight_bases = {}
 
     # -- element helpers ------------------------------------------------
     @property
@@ -177,7 +188,14 @@ class Ideal:
 
 @dataclass
 class RingMap:
-    """Ring homomorphism between quotient rings, given on the variables."""
+    """Ring homomorphism between quotient rings, given on the variables.
+
+    Fast path: when the map sends the variables injectively to variables and
+    standard monomials to standard monomials, the image of a normal form is
+    its exponents renamed, with no substitution and no reduction.  That holds
+    iff every target lead in the image variables pulls back to a monomial
+    divisible by a source lead; it is decided once, at construction.
+    """
 
     source: QuotientRing
     target: QuotientRing
@@ -187,24 +205,49 @@ class RingMap:
         self.images = tuple(self.target.nf(p) for p in self.images)
         if len(self.images) != self.source.nvars:
             raise RingError("ring map needs one image per source variable")
+        self._slots = self._renaming()
+
+    def _renaming(self):
+        """Target variable index per source variable when the fast path
+        applies, else None."""
+        units = [m for p in self.images for m, c in p.terms.items()
+                 if len(p.terms) == 1 and c == 1 and sum(m) == 1]
+        slots = tuple(m.index(1) for m in units)
+        if len(units) != len(self.images) or len(set(slots)) != len(slots):
+            return None
+        source_leads = [m for _, m, _ in self.source.leads]
+        for _, lead, _ in self.target.leads:
+            pulled = tuple(lead[t] for t in slots)
+            if sum(pulled) == sum(lead) and not any(
+                    mono_div(pulled, l) is not None for l in source_leads):
+                return None
+        return slots
 
     def check(self):
+        # relations are not normal forms, so they take the general path
         for g in self.source.relations:
-            if not self(g).is_zero():
+            if not self._substitute(g).is_zero():
                 raise RingError(f"ring map does not kill the relation {g}")
         return self
 
     def __call__(self, p: Polynomial) -> Polynomial:
+        """Image of a normal form of the source."""
+        if self._slots is None:
+            return self._substitute(p)
+        terms = {}
+        for m, c in p.terms.items():
+            e = [0] * self.target.nvars
+            for t, k in zip(self._slots, m):
+                e[t] = k
+            terms[tuple(e)] = c
+        return Polynomial(self.target.ambient, terms)
+
+    def _substitute(self, p: Polynomial) -> Polynomial:
         return self.target.nf(p.substitute(self.target.ambient, list(self.images)))
 
     @staticmethod
     def identity(ring: QuotientRing) -> "RingMap":
         return RingMap(ring, ring, ring.gens())
-
-    def compose(self, inner: "RingMap") -> "RingMap":
-        """self o inner."""
-        return RingMap(inner.source, self.target,
-                       tuple(self(q) for q in inner.images))
 
 
 class ArtinError(RingError):

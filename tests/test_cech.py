@@ -1,16 +1,20 @@
 """Glued schemes, equivariant sheaves and exact Cech cohomology."""
 
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from defpair.cech import (CechError, GluedScheme, LocallyFreeSheaf,
                           cech_cohomology, cech_weight_complex, det_line,
-                          det_of_complex, dual_line, line_bundle,
+                          det_of_complex, dual_line, extend_scheme, line_bundle,
                           make_inclusion, pair_sheaf, projective_line,
                           projective_line_three_charts, sheaf_hom,
                           structure_sheaf, tangent_sheaf, tensor_lines,
                           weight_monomials)
 from defpair.poly import GREVLEX, PolyRing
-from defpair.rings import QuotientRing
+from defpair.rings import QuotientRing, make_artin_algebra
 
 
 @pytest.fixture(scope="module")
@@ -203,3 +207,34 @@ def test_unordered_vs_ordered_smallest_case(P1):
     ordered, _ = cech_weight_complex(P1, F, w)
     assert qc.cohomology_dim(0) == ordered.cohomology_dim(0) == 1
     assert qc.cohomology_dim(1) == ordered.cohomology_dim(1) == 0
+
+
+# -- chart inclusions rename standard monomials ------------------------------------
+
+def _chart_inclusions():
+    P1 = projective_line()
+    schemes = {"P1": P1, "P1x3": projective_line_three_charts(),
+               "P1(x)e3": extend_scheme(P1, make_artin_algebra(["e"], ["e^3"]))}
+    return {f"{name} {sorted(a)}->{sorted(b)}": inc
+            for name, X in schemes.items() for (a, b), inc in X.inclusions.items()}
+
+
+CHART_INCLUSIONS = _chart_inclusions()
+
+
+@pytest.mark.parametrize("name", sorted(CHART_INCLUSIONS))
+@given(data=st.data())
+@settings(max_examples=15, deadline=None, derandomize=True)
+def test_chart_inclusions_take_the_substitution_fast_path(name, data):
+    rmap = CHART_INCLUSIONS[name].ring_map
+    src, tgt = rmap.source, rmap.target
+    monos = st.tuples(*[st.integers(0, 3)] * src.nvars)
+    terms = data.draw(st.dictionaries(monos, st.integers(-3, 3), max_size=5))
+    p = src.nf(sum((src.ambient.monomial(m, c) for m, c in terms.items()), src.zero()))
+    reduced = []
+    nf = QuotientRing.nf
+    with mock.patch.object(QuotientRing, "nf",
+                           lambda ring, q: reduced.append(q) or nf(ring, q)):
+        fast = rmap(p)
+    assert not reduced
+    assert fast == tgt.nf(p.substitute(tgt.ambient, list(rmap.images)))

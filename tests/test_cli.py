@@ -212,6 +212,35 @@ def test_cech_pairs_sample_output_is_unchanged(capsys):
     assert capsys.readouterr().out == (data / "cech_pairs.json").read_text()
 
 
+def test_session_builds_each_sheaf_once(capsys, monkeypatch):
+    # the golden script asks for D(O(-2)), D(Theta) and D(D(O(1))) twice each
+    # (t-spaces and first-order-bridge); the session shares one sheaf, so
+    # each transition is inverted and each D(F) weight complex built once
+    # (identity transitions, shared by several sheaves, are not counted)
+    from defpair import cech, matrices
+    inverted, built = {}, {}
+    inverse, build = matrices.mat_inverse, cech.cech_weight_complex
+
+    def counted_inverse(ring, a):
+        if a != matrices.identity_matrix(ring, len(a)):
+            key = (repr(ring), str(a))
+            inverted[key] = inverted.get(key, 0) + 1
+        return inverse(ring, a)
+
+    def counted_build(X, F, w):
+        if F.name.startswith("D("):
+            built[(X, F.name, w)] = built.get((X, F.name, w), 0) + 1
+        return build(X, F, w)
+
+    monkeypatch.setattr(matrices, "mat_inverse", counted_inverse)
+    monkeypatch.setattr(cech, "cech_weight_complex", counted_build)
+    data = Path(__file__).parent / "data"
+    assert main(["run", str(data / "cech_pairs.defpair"), "--json"]) == 0
+    assert capsys.readouterr().out == (data / "cech_pairs.json").read_text()
+    assert inverted and max(inverted.values()) == 1
+    assert built and max(built.values()) == 1
+
+
 def test_json_determinism():
     text = "ring R = QQ[x]; module M over R = coker [[x,0],[0,x^2]]; cmd fitting M;"
     a = render_json(run_script(text), seed=7)

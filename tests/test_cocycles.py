@@ -3,7 +3,7 @@
 import pytest
 from fractions import Fraction
 
-from defpair import matrices
+from defpair import cech, matrices
 from defpair.cech import (CechError, LocallyFreeSheaf, line_bundle, pair_sheaf,
                           projective_line,
                           projective_line_three_charts, sheaf_hom,
@@ -329,3 +329,30 @@ def test_each_stored_transition_is_inverted_once(P1x3, eps2, monkeypatch):
               for i, j in ((0, 1), (0, 2), (1, 2))}
     assert calls and set(calls) <= stored
     assert max(calls.values()) == 1
+
+
+@pytest.mark.parametrize("scheme", ["P1", "P1x3"])
+def test_cech_objects_are_built_once(scheme, request, monkeypatch):
+    X = request.getfixturevalue(scheme)
+    built, mapped = {}, {}
+    build = cech.cech_weight_complex
+    map_matrix = cech.ChartInclusion.map_matrix
+
+    def counted_build(Y, F, w):
+        built[(F, w)] = built.get((F, w), 0) + 1
+        return build(Y, F, w)
+
+    def counted_map(inc, m):
+        # stored matrices and chart inclusions live as long as their sheaf
+        # and scheme, so the pair identifies one frame change of one sheaf
+        mapped[(id(inc), id(m))] = mapped.get((id(inc), id(m)), 0) + 1
+        return map_matrix(inc, m)
+
+    monkeypatch.setattr(cech, "cech_weight_complex", counted_build)
+    monkeypatch.setattr(cech.ChartInclusion, "map_matrix", counted_map)
+    out = pair_tangent_spaces(X, line_bundle(X, 2))
+    dims = {p: 0 for p in range(X.nchart)}
+    assert out == {"T": {**dims, 0: 4}, "ext": {**dims, 0: 1},
+                   "theta": {**dims, 0: 3}, "les_exact": True}
+    assert built and max(built.values()) == 1
+    assert mapped and max(mapped.values()) == 1

@@ -127,3 +127,31 @@ def test_extended_ring_artin_degree(cusp):
     assert E.artin_degree(e * x + e) == 1
     assert E.artin_degree(x) == 0
     assert E.artin_degree(E.zero()) is None
+
+
+def test_variable_maps_that_break_standard_monomials_reduce():
+    # x -> x, y -> y into QQ[x,y]/(x*y - 1): x*y is standard in the source but
+    # not in the target, so the map must substitute and reduce
+    amb = PolyRing(["x", "y"])
+    plain = QuotientRing(amb)
+    laurent = QuotientRing(amb, [amb.parse("x*y - 1")])
+    f = RingMap(plain, laurent, laurent.gens()).check()
+    assert f(plain.parse("x^2*y")) == laurent.parse("x")
+    assert f(plain.parse("x*y + y")) == laurent.parse("1 + y")
+    # two variables onto one: images of distinct monomials collide
+    T = QuotientRing(PolyRing(["t"]))
+    g = RingMap(plain, T, (T.var(0), T.var(0))).check()
+    assert g(plain.parse("x - y")).is_zero()
+    assert g(plain.parse("x*y + x")) == T.parse("t^2 + t")
+
+
+def test_check_evaluates_relations_by_substitution():
+    # relations are not normal forms: the identity of QQ[s,si]/(s*si - 1)
+    # renames standard monomials, yet its relation must still reduce to 0
+    amb = PolyRing(["s", "si"])
+    laurent = QuotientRing(amb, [amb.parse("s*si - 1")])
+    ident = RingMap(laurent, laurent, laurent.gens()).check()
+    assert ident(laurent.parse("s^3 + 2*si")) == laurent.parse("s^3 + 2*si")
+    plain = QuotientRing(amb)
+    with pytest.raises(RingError, match="does not kill the relation s\\*si - 1"):
+        RingMap(laurent, plain, plain.gens()).check()
