@@ -161,6 +161,7 @@ class GluedScheme:
                            for (a, b), v in inclusions.items()}
         self.artin = artin
         self._identities = {}
+        self._tangent_sheaf = None  # kept by tangent_sheaf
         for i, ch in enumerate(self.charts):
             self.rings.setdefault(frozenset([i]), ch)
 
@@ -454,7 +455,10 @@ def _monomial_of_weight(ring: QuotientRing, w: int) -> Polynomial:
 
 
 def tangent_sheaf(X: GluedScheme) -> LocallyFreeSheaf:
-    """Derivations, trivialised on chart i by d/d(chart variable)."""
+    """Derivations, trivialised on chart i by d/d(chart variable).  Built
+    once per scheme and kept on it."""
+    if X._tangent_sheaf is not None:
+        return X._tangent_sheaf
     weights = {}
     pm = {}
     for i in range(X.nchart):
@@ -470,7 +474,8 @@ def tangent_sheaf(X: GluedScheme) -> LocallyFreeSheaf:
         # coordinate of the transported field on the frame generator d/ds
         coord = ring.apply_derivation(hv, frame_var)
         pm[(i, j)] = [[coord]]
-    return LocallyFreeSheaf(X, 1, weights, pm, name="Theta")
+    X._tangent_sheaf = LocallyFreeSheaf(X, 1, weights, pm, name="Theta")
+    return X._tangent_sheaf
 
 
 def transition_law(ring, C, U, N, h=None):

@@ -21,8 +21,8 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .cech import (line_bundle, pair_sheaf, projective_line,
-                   projective_line_three_charts, structure_sheaf,
+from .cech import (GluedScheme, LocallyFreeSheaf, line_bundle, pair_sheaf,
+                   projective_line, projective_line_three_charts, structure_sheaf,
                    tangent_sheaf, cech_cohomology)
 from .cocycles import first_order_class_dims, pair_tangent_spaces
 from .dgla import TableDGLA, abelian_dgla, pro_representability_check, trace_morphism
@@ -473,7 +473,7 @@ class Session:
 
     def scheme(self, name: str):
         if name in self.objects:
-            return self.objects[name]
+            return self._get(name, GluedScheme)
         if name in ("P1", "P1x3"):
             if name not in self._schemes:
                 self._schemes[name] = (projective_line() if name == "P1"
@@ -485,7 +485,7 @@ class Session:
         """The sheaf expr on X, built once per session, so its inverses,
         frame changes and weight complexes are shared by every command."""
         if expr in self.objects:
-            return self.objects[expr]
+            return self._get(expr, LocallyFreeSheaf)
         if (expr, X) not in self._sheaves:
             if expr == "O":
                 F = structure_sheaf(X)

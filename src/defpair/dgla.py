@@ -16,7 +16,7 @@ from typing import Optional
 
 from . import linalg
 from . import matrices as mat
-from .groebner import syzygies, solve_in_image
+from .groebner import solve_many, syzygies
 from .modules import FPModule, FreeComplex, ModuleMap
 from .pairs import (DerivationPair, PairError, check_derivation_pair,
                     tensor_hom_transfer, trace_pair)
@@ -88,7 +88,10 @@ class QComplex:
                 for j in range(self.dims[k - 1])]
 
     def cohomology_basis(self, k):
-        """Representatives of a basis of H^k as coordinate vectors."""
+        """Representatives of a basis of H^k as coordinate vectors: the
+        kernel vectors outside the span of the boundaries and the kernel
+        vectors before them, i.e. the pivot columns of one rref of the
+        columns [boundaries | kernel]."""
         if k in self._bases:
             return self._bases[k]
         dk = self.dims.get(k, 0)
@@ -98,11 +101,11 @@ class QComplex:
                 kernel = linalg.nullspace(self.matrix(k))
             else:
                 kernel = [list(r) for r in linalg.identity(dk)]
-            current = linalg.rref(self._boundary_rows(k))[0]
-            for v in kernel:
-                if not linalg.row_space_contains(current, v):
-                    reps.append(v)
-                    current = current + [v]
+            boundaries = self._boundary_rows(k)
+            if kernel:
+                _, pivots = linalg.rref([list(col) for col in zip(*boundaries, *kernel)])
+                nb = len(boundaries)
+                reps = [kernel[c - nb] for c in pivots if c >= nb]
         self._bases[k] = reps
         return reps
 
@@ -111,13 +114,10 @@ class QComplex:
         basis cohomology_basis(k); raises DGLAError on a non-cocycle."""
         reps = self.cohomology_basis(k)
         system = [list(col) for col in zip(*(reps + self._boundary_rows(k)))]
-        cols = []
-        for v in cocycles:
-            sol = linalg.solve(system, v)
-            if sol is None:
-                raise DGLAError("vector is not a cocycle of the complex")
-            cols.append(sol[:len(reps)])
-        return [[col[i] for col in cols] for i in range(len(reps))]
+        sols = linalg.solve_many(system, list(cocycles))
+        if None in sols:
+            raise DGLAError("vector is not a cocycle of the complex")
+        return [[sol[i] for sol in sols] for i in range(len(reps))]
 
 
 def complex_cohomology(dims: dict, maps: dict):
@@ -342,7 +342,7 @@ def pro_representability_check(L: TableDGLA) -> dict:
             image_rows.append([dm[i][j] for i in range(n0)])
     # surjectivity: every H^0 representative is an N^0 class mod image
     span = [list(v) for v in N0] + image_rows
-    surjective = all(linalg.row_space_contains(span, r) for r in reps)
+    surjective = linalg.rank(span) == linalg.rank(span + reps)
     return {"satisfied": surjective, "N0_dim": len(N0), "H0_dim": h0}
 
 
@@ -506,15 +506,12 @@ class PairComplexDGLA:
         for j in sorted(blocks):
             if self.cx.rank(j):
                 out.append((j, [[ring.nf(x) for x in row] for row in blocks[j]]))
+        given = {j for j, _ in out}
         for j in self.cx.degrees:
-            if self.cx.rank(j) and self.pairs_block(PairChain(h, tuple(out)), j) is None:
+            if self.cx.rank(j) and j not in given:
                 out.append((j, mat.zero_matrix(ring, self.cx.rank(j), self.cx.rank(j))))
         out.sort(key=lambda t: t[0])
         return PairChain(h, tuple(out))
-
-    @staticmethod
-    def pairs_block(chain: PairChain, j):
-        return chain.block(j)
 
     def from_hom(self, f: GradedMap) -> PairChain:
         """Degree-zero R-linear maps embedded as anchor-zero pairs."""
@@ -702,13 +699,10 @@ class PairComplexDGLA:
         M = aug.target
         P0 = self.cx.module(0)
         cols = [aug.column(j) for j in range(P0.ngens)]
-        u_values = []
-        for t in range(M.ngens):
-            pre = M.solve(cols, M.gen(t))
-            if pre is None:
-                raise PairError("augmentation is not surjective")
-            img = self.apply_chain(chain, 0, pre)
-            u_values.append(aug.apply(img))
+        pres = M.solve(cols, [M.gen(t) for t in range(M.ngens)])
+        if None in pres:
+            raise PairError("augmentation is not surjective")
+        u_values = [aug.apply(self.apply_chain(chain, 0, pre)) for pre in pres]
         return check_derivation_pair(self.ring, M, chain.h_values, tuple(u_values))
 
 
@@ -816,10 +810,10 @@ def split_sequence_pairs(alpha: ModuleMap, beta: ModuleMap) -> SplitSequenceData
         if any(not R.nf(x).is_zero() for x in s):
             raise DGLAError("alpha is not injective")
     bcols = [beta.column(j) for j in range(P.ngens)]
-    for s in syzygies(amb, bcols, ideal_gens=R.gb, caps=R.caps):
-        v = tuple(R.nf(x) for x in s)
-        if not P.submodule_contains(acols, v):
-            raise DGLAError("ker beta exceeds im alpha")
+    kernel = [tuple(R.nf(x) for x in s)
+              for s in syzygies(amb, bcols, ideal_gens=R.gb, caps=R.caps)]
+    if None in P.solve(acols, kernel):
+        raise DGLAError("ker beta exceeds im alpha")
     # generators of D(R, P): anchor lifts (h, 0) plus matrix units
     from .pairs import derivation_pair_module
     DP = derivation_pair_module(R, P)
@@ -854,15 +848,14 @@ def split_sequence_pairs(alpha: ModuleMap, beta: ModuleMap) -> SplitSequenceData
         for c in cols:
             flat.extend(c)
         flat_cols.append(tuple(flat))
-    surj = True
+    units = []
     for a in range(M.ngens):
         for b in range(K.ngens):
             target = [R.zero()] * (M.ngens * K.ngens)
             target[b * M.ngens + a] = R.one()
-            if solve_in_image(amb, flat_cols, tuple(target), ideal_gens=R.gb,
-                              caps=R.caps) is None:
-                surj = False
-    reports["p_surjective"] = surj
+            units.append(tuple(target))
+    reports["p_surjective"] = None not in solve_many(amb, flat_cols, units,
+                                                     ideal_gens=R.gb, caps=R.caps)
     # j: Hom(P, K) -> L, v -> (0, alpha v): lands in L and is injective
     j_ok = True
     for a in range(K.ngens):
@@ -903,10 +896,7 @@ def _section_of(beta: ModuleMap):
     R = beta.ring
     P, M = beta.source, beta.target
     cols = [beta.column(j) for j in range(P.ngens)]
-    sig_cols = []
-    for i in range(M.ngens):
-        sol = M.solve(cols, M.gen(i))
-        if sol is None:
-            raise DGLAError("no section: beta not surjective")
-        sig_cols.append(tuple(sol))
+    sig_cols = M.solve(cols, [M.gen(i) for i in range(M.ngens)])
+    if None in sig_cols:
+        raise DGLAError("no section: beta not surjective")
     return mat.mat_from_columns(R, sig_cols, P.ngens)

@@ -4,7 +4,8 @@ One engine works on vectors in R^n under a position-over-term (POT) order:
 earlier positions dominate, which is what makes the elimination-based syzygy
 and kernel computations below correct.  An ideal is the rank-1 case, its
 polynomials wrapped as 1-tuples.  Membership certificates and particular
-solutions come from tagged generators (`syzygies`, `solve_in_image`).
+solutions come from tagged generators (`syzygies`, `solve_many`): one basis
+per linear system, then one normal form per right-hand side.
 
 All computations are exact; hard caps raise CapacityError instead of ever
 returning a truncated answer.
@@ -293,24 +294,35 @@ def syzygies(ring: PolyRing, columns: list, ideal_gens: list = (),
     return out
 
 
+def solve_many(ring: PolyRing, columns: list, targets, ideal_gens: list = (),
+               order: Optional[MonomialOrder] = None, caps: Caps = DEFAULT_CAPS) -> list:
+    """Solve sum a_j*columns[j] = t modulo I for every target t: one solution
+    tuple, or None when t is not in the image, per target.
+
+    One module Groebner basis of the tagged columns serves every target.
+    Deterministic: each particular solution is read off the tag coordinates
+    of the target's normal form against that canonical basis.
+    """
+    targets = [tuple(t) for t in targets]
+    if not targets:
+        return []
+    n, k = len(targets[0]), len(columns)
+    gens = _tagged_generators(ring, columns, n, ideal_gens)
+    mb = ModuleBasis(ring, n + k, gens, order=order, caps=caps)
+    pad = vec_zero(ring, k)
+    out = []
+    for t in targets:
+        r = mb.normal_form(t + pad)
+        # t + pad - r lies in the span of the tagged generators; the ideal
+        # rows carry zero tags, so the tag part of r is minus a solution
+        out.append(tuple(-p for p in r[n:]) if vec_is_zero(r[:n]) else None)
+    return out
+
+
 def solve_in_image(ring: PolyRing, columns: list, target, ideal_gens: list = (),
                    order: Optional[MonomialOrder] = None, caps: Caps = DEFAULT_CAPS):
-    """Solve sum a_j*columns[j] = target modulo I; None when unsolvable.
-
-    Deterministic: the particular solution is read off the tag coordinates
-    of the normal form against the canonical module Groebner basis.
-    """
-    n = len(target)
-    gens = _tagged_generators(ring, columns, n, ideal_gens)
-    k = len(columns)
-    mb = ModuleBasis(ring, n + k, gens, order=order, caps=caps)
-    padded = tuple(target) + vec_zero(ring, k)
-    r = mb.normal_form(padded)
-    if not vec_is_zero(r[:n]):
-        return None
-    # padded - r lies in the span of the tagged generators; the ideal rows
-    # carry zero tags, so the tag part of r is minus a solution vector.
-    return tuple(-p for p in r[n:])
+    """Solve sum a_j*columns[j] = target modulo I; None when unsolvable."""
+    return solve_many(ring, columns, [target], ideal_gens, order, caps)[0]
 
 
 def submodule_contains(ring: PolyRing, columns: list, v, ideal_gens: list = (),

@@ -1,7 +1,8 @@
 """Exact linear algebra over the rationals: rref, rank, kernels, solving.
 
 Matrices are lists of rows of Fractions.  Used by the finite-dimensional
-cohomology computations and by the Artin-algebra bookkeeping.
+cohomology computations and by the Artin-algebra bookkeeping.  A system
+with several right-hand sides is row reduced once (`solve_many`).
 """
 
 from __future__ import annotations
@@ -62,26 +63,35 @@ def nullspace(rows):
     return basis
 
 
+def solve_many(rows, rhss) -> list:
+    """One solution of rows * x = b, or None if inconsistent, per b in rhss.
+
+    One rref of rows augmented by every right-hand side.  The pivots of rows
+    come first; the reduced rows after them vanish on rows, so b is
+    consistent exactly when its column vanishes on them too, and then its
+    column on the pivot rows is a solution.
+    """
+    if not rows or not rhss:
+        return [None if any(b != 0 for b in rhs) else [] for rhs in rhss]
+    ncols = len(rows[0])
+    aug = [list(r) + [rhs[i] for rhs in rhss] for i, r in enumerate(rows)]
+    red, pivots = rref(aug)
+    r = sum(pc < ncols for pc in pivots)
+    out = []
+    for c in range(ncols, ncols + len(rhss)):
+        if any(row[c] != 0 for row in red[r:]):
+            out.append(None)
+            continue
+        x = [Fraction(0)] * ncols
+        for row, pc in zip(red, pivots[:r]):
+            x[pc] = row[c]
+        out.append(x)
+    return out
+
+
 def solve(rows, rhs) -> Optional[list]:
     """One solution of rows * x = rhs, or None if inconsistent."""
-    if not rows:
-        return None if any(b != 0 for b in rhs) else []
-    ncols = len(rows[0])
-    aug = [list(map(Fraction, r)) + [Fraction(b)] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    for row in red:
-        if all(x == 0 for x in row[:-1]) and row[-1] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        if pc == ncols:
-            return None
-        x[pc] = red[r][-1]
-    return x
-
-
-def row_space_contains(rows, v) -> bool:
-    return rank(rows) == rank(list(rows) + [list(v)])
+    return solve_many(rows, [rhs])[0]
 
 
 def mat_mul(a, b):

@@ -138,22 +138,18 @@ def exterior_matrix(ring, a, size):
 def mat_inverse(ring, a):
     """Inverse of a square matrix over the ring, or None.
 
-    Entries of the inverse are solved column by column through the exact
-    linear solver; works precisely when det is a unit.
+    The columns of the inverse solve a*x = e_i for every unit vector e_i at
+    once, through the exact linear solver; works precisely when det is a unit.
     """
-    from .groebner import solve_in_image
+    from .groebner import solve_many
     n, m = mat_shape(a)
     if n != m:
         raise RingError("inverse of a non-square matrix")
     if n == 0:
         return []
     cols = [mat_col(a, j) for j in range(n)]
-    inv_cols = []
-    for i in range(n):
-        target = tuple(ring.one() if t == i else ring.zero() for t in range(n))
-        sol = solve_in_image(ring.ambient, cols, target, ideal_gens=ring.gb,
-                             caps=ring.caps)
-        if sol is None:
-            return None
-        inv_cols.append(tuple(ring.nf(p) for p in sol))
-    return mat_from_columns(ring, inv_cols, n)
+    units = [tuple(row) for row in identity_matrix(ring, n)]
+    sols = solve_many(ring.ambient, cols, units, ideal_gens=ring.gb, caps=ring.caps)
+    if None in sols:
+        return None
+    return mat_from_columns(ring, [tuple(ring.nf(p) for p in sol) for sol in sols], n)

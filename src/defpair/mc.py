@@ -83,13 +83,14 @@ class TableContext:
         return acc
 
     def _unrep(self, matrix) -> TElt:
-        """Solve sum_i c_i rep_i = matrix for the coefficients c_i, one QQ
-        system per coordinate in the monomial basis of A."""
+        """Solve sum_i c_i rep_i = matrix for the coefficients c_i: one QQ
+        system, with one right-hand side per coordinate in the monomial basis
+        of A."""
         idx = sorted(self.L.rep)
         n = len(matrix)
         rows = [[self.L.rep[i][a][b] for i in idx] for a in range(n) for b in range(n)]
         rhs = [self.A.element_coords(matrix[a][b]) for a in range(n) for b in range(n)]
-        sols = [linalg.solve(rows, [v[t] for v in rhs]) for t in range(self.A.dim)]
+        sols = linalg.solve_many(rows, [[v[t] for v in rhs] for t in range(self.A.dim)])
         if None in sols:
             raise MCError("operator log left the representation image")
         out = [self.A.zero()] * self.L.dim(0)

@@ -4,8 +4,10 @@ complexes, Fitting ideals, free resolutions and Kaehler differentials.
 A module is presented by generators and relation columns; elements are
 coefficient vectors kept in module normal form (computed at the ambient
 polynomial level, with the defining ideal folded into the relation
-submodule), so equality of elements is literal equality.  Sums and
-differences of normal forms are normal forms (see `rings`).
+submodule; a free module reduces coordinate by coordinate), so equality of
+elements is literal equality.  Sums and differences of normal forms are
+normal forms (see `rings`).  `FPModule.solve` solves one system for many
+right-hand sides at once.
 """
 
 from __future__ import annotations
@@ -13,13 +15,18 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from . import matrices as mat
-from .groebner import (CapacityError, ModuleBasis, ideal_rows, solve_in_image,
+from .groebner import (CapacityError, ModuleBasis, ideal_rows, solve_many,
                        syzygies, vec_is_zero)
 from .rings import ArtinAlgebra, ExtendedRing, Ideal, QuotientRing, RingError, extend_ring
 
 
 class ModuleError(ValueError):
     pass
+
+
+def _check_rectangular(rows):
+    if len({len(row) for row in rows}) > 1:
+        raise ModuleError("matrix rows differ in length")
 
 
 class FPModule:
@@ -49,13 +56,13 @@ class FPModule:
     @staticmethod
     def cokernel(ring: QuotientRing, rows) -> "FPModule":
         """Module presented by the rows-matrix (columns are the relations)."""
-        ngens = len(rows)
-        ncols = len(rows[0]) if ngens and rows[0] else 0
-        cols = [tuple(rows[i][j] for i in range(ngens)) for j in range(ncols)]
-        return FPModule(ring, ngens, cols)
+        _check_rectangular(rows)
+        return FPModule(ring, len(rows), zip(*rows))
 
     # -- normal forms ------------------------------------------------------
     def _module_basis(self) -> ModuleBasis:
+        """Basis of the relations plus I*R^n; only a module with relations
+        builds one."""
         if self._mb is None:
             amb = self.ring.ambient
             gens = list(self.relations) + ideal_rows(amb, self.ring.gb, self.ngens, self.ngens)
@@ -66,11 +73,10 @@ class FPModule:
         vec = tuple(vec)
         if len(vec) != self.ngens:
             raise ModuleError("element vector has wrong length")
-        if self.ngens == 0:
-            return ()
-        if not self.relations and self.ring.is_polynomial_ring():
-            return vec
-        return self._module_basis().normal_form(vec)
+        if self.relations:
+            return self._module_basis().normal_form(vec)
+        # a free module reduces coordinate by coordinate
+        return tuple(self.ring.nf(p) for p in vec)
 
     def zero(self) -> tuple:
         return tuple(self.ring.zero() for _ in range(self.ngens))
@@ -106,18 +112,17 @@ class FPModule:
         """ngens x (number of relations) matrix whose columns are relations."""
         return mat.mat_from_columns(self.ring, self.relations, self.ngens)
 
-    def solve(self, columns, target):
-        """Coefficients a with sum a_j*columns[j] == target in the module."""
-        amb = self.ring.ambient
+    def solve(self, columns, targets) -> list:
+        """Per target, coefficients a (reduced) with sum a_j*columns[j] ==
+        target in the module, or None; one elimination serves all targets."""
         cols = list(columns) + list(self.relations)
-        sol = solve_in_image(amb, cols, tuple(target), ideal_gens=self.ring.gb,
-                             caps=self.ring.caps)
-        if sol is None:
-            return None
-        return tuple(self.ring.nf(p) for p in sol[:len(columns)])
+        sols = solve_many(self.ring.ambient, cols, targets, ideal_gens=self.ring.gb,
+                          caps=self.ring.caps)
+        return [None if sol is None else tuple(self.ring.nf(p) for p in sol[:len(columns)])
+                for sol in sols]
 
     def submodule_contains(self, columns, target) -> bool:
-        return self.solve(columns, target) is not None
+        return self.solve(columns, [target])[0] is not None
 
     def __repr__(self):
         return f"FPModule({self.ring!r}, gens={self.ngens}, rels={len(self.relations)})"
@@ -189,8 +194,8 @@ class ModuleMap:
     def cokernel_is_zero(self) -> bool:
         """True iff the map is surjective."""
         cols = [self.column(j) for j in range(self.source.ngens)]
-        return all(self.target.submodule_contains(cols, self.target.gen(i))
-                   for i in range(self.target.ngens))
+        gens = [self.target.gen(i) for i in range(self.target.ngens)]
+        return None not in self.target.solve(cols, gens)
 
     def __repr__(self):
         return f"ModuleMap({self.source.ngens}->{self.target.ngens} over {self.ring!r})"
@@ -287,6 +292,7 @@ class FreeComplex:
         self.ranks = {d: r for d, r in ranks.items() if r > 0}
         self.diffs = {}
         for k, a in diffs.items():
+            _check_rectangular(a)
             rows = self.rank(k + 1)
             cols = self.rank(k)
             if rows == 0 or cols == 0:

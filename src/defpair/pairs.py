@@ -20,8 +20,8 @@ from math import factorial
 from typing import Optional
 
 from . import matrices as mat
-from .groebner import (CapacityError, syzygies, solve_in_image, vec_is_zero,
-                       vec_scale)
+from .groebner import (CapacityError, syzygies, solve_in_image, solve_many,
+                       vec_is_zero, vec_scale)
 from .modules import (FPModule, FreeComplex, ModuleMap, fitting_ideal,
                       kaehler_differentials)
 from .poly import Polynomial
@@ -199,25 +199,10 @@ class PairModule:
     def contains(self, pair: DerivationPair) -> Optional[tuple]:
         """Coefficients over the generators, or None."""
         R, M = self.ring, self.module
-        amb = R.ambient
-        k = M.ngens
-        n = R.nvars
-
-        def flat(p):
-            v = list(p.h_values)
-            for u in p.u_values:
-                v.extend(u)
-            return tuple(v)
-
-        cols = [flat(p) for p in self.generators]
-        # u-coordinates are defined modulo the relation submodule in each slot
-        for col in M.relations:
-            for j in range(k):
-                pad = [R.zero()] * (n + k * k)
-                for t in range(k):
-                    pad[n + j * k + t] = col[t]
-                cols.append(tuple(pad))
-        sol = solve_in_image(amb, cols, flat(pair), ideal_gens=R.gb, caps=R.caps)
+        cols = [p.h_values + _flat_u(p) for p in self.generators]
+        cols += _relation_slots(R, M, R.nvars)
+        sol = solve_in_image(R.ambient, cols, pair.h_values + _flat_u(pair),
+                             ideal_gens=R.gb, caps=R.caps)
         if sol is None:
             return None
         return tuple(R.nf(p) for p in sol[:len(self.generators)])
@@ -225,37 +210,41 @@ class PairModule:
     def exactness_report(self) -> dict:
         """Checks 0 -> Hom(M,M) -> D(R,M) -> Der(R) exactness at the middle."""
         R, M = self.ring, self.module
-        amb = R.ambient
         hom_ok = all(all(p.is_zero() for p in g.h_values)
                      for g in self.hom_generators)
         # anchor-kernel generators: solve anchor == 0 inside the span
-        hom_cols = []
-        k = M.ngens
-        for g in self.hom_generators:
-            flatu = []
-            for u in g.u_values:
-                flatu.extend(u)
-            hom_cols.append(tuple(flatu))
-        for col in M.relations:
-            for j in range(k):
-                pad = [R.zero()] * (k * k)
-                for t in range(k):
-                    pad[j * k + t] = col[t]
-                hom_cols.append(tuple(pad))
-        kernel_in_hom = True
+        kernel = [p for p in self.generators
+                  if all(v.is_zero() for v in p.h_values)]
         witness = None
-        for p in self.generators:
-            if all(v.is_zero() for v in p.h_values):
-                flatu = []
-                for u in p.u_values:
-                    flatu.extend(u)
-                if k and solve_in_image(amb, hom_cols, tuple(flatu),
-                                        ideal_gens=R.gb, caps=R.caps) is None:
-                    kernel_in_hom = False
+        if M.ngens:
+            hom_cols = [_flat_u(g) for g in self.hom_generators]
+            hom_cols += _relation_slots(R, M, 0)
+            sols = solve_many(R.ambient, hom_cols, [_flat_u(p) for p in kernel],
+                              ideal_gens=R.gb, caps=R.caps)
+            for p, sol in zip(kernel, sols):
+                if sol is None:
                     witness = p
         return {"hom_has_zero_anchor": hom_ok,
-                "anchor_kernel_in_hom": kernel_in_hom,
+                "anchor_kernel_in_hom": witness is None,
                 "witness": witness}
+
+
+def _flat_u(p: DerivationPair) -> tuple:
+    """The u-values of a pair, generator after generator."""
+    return tuple(x for u in p.u_values for x in u)
+
+
+def _relation_slots(R: QuotientRing, M: FPModule, offset: int) -> list:
+    """M's relations placed in each u-slot of flattened vectors whose u-part
+    starts at `offset`: u-values are defined modulo them."""
+    k = M.ngens
+    out = []
+    for col in M.relations:
+        for j in range(k):
+            pad = [R.zero()] * (offset + k * k)
+            pad[offset + j * k:offset + (j + 1) * k] = col
+            out.append(tuple(pad))
+    return out
 
 
 def _pair_system_columns(R: QuotientRing, M: FPModule, include_h: bool):
@@ -363,39 +352,17 @@ def lift_anchor(R: QuotientRing, M: FPModule, h_values) -> Optional[DerivationPa
     h_values = tuple(R.nf(p) for p in h_values)
     if R.derivation_well_defined(h_values) is not None:
         return None
-    amb = R.ambient
     k = M.ngens
     if k == 0:
         return DerivationPair(R, M, h_values, ())
-    n_mod = len(M.relations)
-    if n_mod == 0:
+    if not M.relations:
         return check_derivation_pair(R, M, h_values,
                                      tuple(M.zero() for _ in range(k)))
-    D = k * n_mod
-    cols = []
-    for b in range(k):
-        for a in range(k):
-            col = []
-            for rel in M.relations:
-                block = [R.zero()] * k
-                block[a] = rel[b]
-                col.extend(block)
-            cols.append(tuple(col))
-    target_rels = []
-    for l in range(n_mod):
-        for rel in M.relations:
-            col = [R.zero()] * D
-            for a in range(k):
-                col[l * k + a] = rel[a]
-            target_rels.append(tuple(col))
-    rhs = []
+    cols, target_rels, _ = _pair_system_columns(R, M, include_h=False)
+    rhs = [R.zero()] * len(R.relations)
     for rel in M.relations:
-        Rblock = [R.zero()] * k
-        for j in range(k):
-            hr = R.apply_derivation(h_values, rel[j])
-            Rblock[j] = -hr
-        rhs.extend(Rblock)
-    sol = solve_in_image(amb, cols + target_rels, tuple(rhs),
+        rhs.extend(-R.apply_derivation(h_values, x) for x in rel)
+    sol = solve_in_image(R.ambient, cols + target_rels, tuple(rhs),
                          ideal_gens=R.gb, caps=R.caps)
     if sol is None:
         return None
@@ -565,13 +532,9 @@ def lift_through_surjection(p: DerivationPair, f: ModuleMap) -> DerivationPair:
     if not f.cokernel_is_zero():
         raise PairError("map is not surjective: cokernel is nonzero")
     cols = [f.column(j) for j in range(P.ngens)]
-    v_values = []
-    for i in range(P.ngens):
-        target = p.apply_u(f.column(i))
-        sol = M.solve(cols, target)
-        if sol is None:
-            raise PairError("no lift exists for a generator image")
-        v_values.append(sol)
+    v_values = M.solve(cols, [p.apply_u(col) for col in cols])
+    if None in v_values:
+        raise PairError("no lift exists for a generator image")
     lifted = check_derivation_pair(R, P, p.h_values, tuple(v_values))
     for i in range(P.ngens):
         lhs = f.apply(lifted.apply_u(P.gen(i)))
@@ -601,13 +564,9 @@ def lift_to_resolution(p: DerivationPair, cx: FreeComplex, aug: ModuleMap) -> di
         d = cx.diff(k)
         cols = [tuple(row[j] for row in d) for j in range(Pk.ngens)]
         upper = lifts[k + 1]
-        v_values = []
-        for j in range(Pk.ngens):
-            target = upper.apply_u(cols[j])
-            sol = Pk1.solve(cols, target)
-            if sol is None:
-                raise PairError(f"no chain lift at degree {k}")
-            v_values.append(sol)
+        v_values = Pk1.solve(cols, [upper.apply_u(col) for col in cols])
+        if None in v_values:
+            raise PairError(f"no chain lift at degree {k}")
         lifts[k] = check_derivation_pair(R, Pk, p.h_values, tuple(v_values))
         # verify the square d v = v d exactly on generators
         for j in range(Pk.ngens):

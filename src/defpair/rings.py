@@ -9,9 +9,11 @@ Reduction rule: every value a library object hands out is a normal form.
 Standard monomials are closed under QQ-linear combination, so sums,
 differences and rational multiples of normal forms (ring or module) are
 normal forms.  Only products with ring elements, substitutions, derivation
-values, solver outputs (`solve_in_image`/`syzygies` tags are not reduced
-modulo I) and constructors or parsers of outside input reduce; normal forms
-are compared with `==`.  The exception among substitutions: a RingMap that
+values, solver outputs (`solve_many`/`syzygies` tags are not reduced modulo
+I; `FPModule.solve` reduces them) and constructors or parsers of outside
+input reduce; normal forms are compared with `==`.  A module normal form is
+taken against the module's basis only when it has relations; a free
+module's is the ring normal form of each coordinate, the same value.  The exception among substitutions: a RingMap that
 sends the variables injectively to variables and standard monomials to
 standard monomials (decided once, from the leads of both rings) renames
 exponents without reducing; `RingMap.check` always substitutes and reduces,
@@ -19,8 +21,9 @@ because relations are not normal forms.
 
 Derived data is cached on the object it belongs to: a ring keeps its
 standard monomials per torus weight (`weight_bases`, filled by the Cech
-layer); a sheaf its inverses, frame changes, weight complexes and D(F); a
-`QComplex` its ranks and cohomology bases; a CLI session its sheaves.
+layer); a scheme its identity inclusions and tangent sheaf; a sheaf its
+inverses, frame changes, weight complexes and D(F); a `QComplex` its ranks
+and cohomology bases; a CLI session its sheaves.
 
 An Artin local algebra A = QQ[t..]/J with residue field QQ is a quotient ring
 that additionally knows its finite monomial basis and the nilpotency index of

@@ -181,6 +181,28 @@ def test_wrong_object_kind_keeps_later_reports():
                          "cmd mc-check L2 A x; cmd mc-check L A x;")
     assert [r.status for r in reports] == ["error", "ok"]
     assert reports[0].payload["message"] == "'x' is an element of 'L', not of 'L2'"
+    # declared names of another kind, used as a scheme or a sheaf
+    reports = run_script("ring O = QQ[x]; cmd cech-cohomology P1 O;"
+                         "cmd cech-cohomology P1 O(1);")
+    assert [r.status for r in reports] == ["error", "ok"]
+    assert reports[0].payload["message"] == "'O' is a QuotientRing, expected LocallyFreeSheaf"
+    reports = run_script("ring P1 = QQ[x]; cmd cech-cohomology P1 O(1);"
+                         "ideal I in P1 = (x^2); cmd groebner I;")
+    assert [r.status for r in reports] == ["error", "ok"]
+    assert reports[0].payload["message"] == "'P1' is a QuotientRing, expected GluedScheme"
+    reports = run_script("ring R = QQ[x]; sheaf F = O(1) on R; cmd cech-cohomology P1 O;")
+    assert [r.status for r in reports] == ["error", "ok"]
+    assert reports[0].payload["message"] == "'R' is a QuotientRing, expected GluedScheme"
+
+
+def test_ragged_matrices_are_declaration_errors():
+    reports = run_script("ring R = QQ[x]; module M over R = coker [[x, x], [x]];"
+                         "complex K over R = [[x, x], [x]] in (-1, 0);"
+                         "module N over R = coker [[x], [x, x]];"
+                         "cmd fitting M; cmd trace-diagram-check K; cmd fitting N;"
+                         "cmd cech-cohomology P1 O;")
+    assert [r.status for r in reports] == ["error"] * 6 + ["ok"]
+    assert [r.payload["message"] for r in reports[:3]] == ["matrix rows differ in length"] * 3
 
 
 def test_rational_coefficients_in_scripts():
@@ -210,6 +232,34 @@ def test_cech_pairs_sample_output_is_unchanged(capsys):
     data = Path(__file__).parent / "data"
     assert main(["run", str(data / "cech_pairs.defpair"), "--json"]) == 0
     assert capsys.readouterr().out == (data / "cech_pairs.json").read_text()
+
+
+def test_module_commands_sample_output_is_unchanged(capsys):
+    # module_cmds.json is the committed `--json` output of a script that runs
+    # the module and DGLA commands, which solve many right-hand sides per
+    # linear system, over QQ[x], the cusp and a smooth cubic
+    data = Path(__file__).parent / "data"
+    assert main(["run", str(data / "module_cmds.defpair"), "--json"]) == 0
+    assert capsys.readouterr().out == (data / "module_cmds.json").read_text()
+
+
+def test_session_shares_the_tangent_sheaf(monkeypatch):
+    # Theta asked for by name and Theta inside t-spaces (its long exact
+    # sequence and D(F)) are one sheaf of the scheme: each weight complex of
+    # Theta is built once
+    from defpair import cech
+    built = {}
+    build = cech.cech_weight_complex
+
+    def counted_build(X, F, w):
+        if F.name == "Theta":
+            built[(X, w)] = built.get((X, w), 0) + 1
+        return build(X, F, w)
+
+    monkeypatch.setattr(cech, "cech_weight_complex", counted_build)
+    reports = run_script("cmd cech-cohomology P1 Theta; cmd t-spaces P1 O(1);")
+    assert [r.status for r in reports] == ["ok", "ok"]
+    assert built and max(built.values()) == 1
 
 
 def test_session_builds_each_sheaf_once(capsys, monkeypatch):

@@ -4,7 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from defpair import linalg
 from defpair.dgla import (SplitSequenceData, DGLAError, GradedMap, QComplex,
                           TableDGLA, abelian_dgla, check_dgla_axioms,
                           complex_cohomology, split_sequence_pairs,
@@ -50,6 +53,60 @@ def test_qcomplex_reps():
 def test_qcomplex_rejects_bad_differential():
     with pytest.raises(DGLAError):
         QComplex({0: 1, 1: 1, 2: 1}, {0: [[Fraction(1)]], 1: [[Fraction(1)]]})
+
+
+def greedy_cohomology_basis(qc, k):
+    """Reference: keep each kernel vector that leaves the span of the
+    boundaries and the vectors kept so far, one rank test per vector."""
+    dk = qc.dims.get(k, 0)
+    if not dk:
+        return []
+    if qc.dims.get(k + 1, 0):
+        kernel = linalg.nullspace(qc.matrix(k))
+    else:
+        kernel = [list(r) for r in linalg.identity(dk)]
+    current = linalg.rref(qc._boundary_rows(k))[0]
+    reps = []
+    for v in kernel:
+        if linalg.rank(current) != linalg.rank(current + [v]):
+            reps.append(v)
+            current = current + [v]
+    return reps
+
+
+@st.composite
+def qcomplexes(draw):
+    """C^-1 -> C^0 -> C^1 -> C^2 with random low-rank differentials; each
+    map is a random matrix times a basis of the left kernel of the map
+    before it, so d o d = 0."""
+    dims = {k: draw(st.integers(0, 3)) for k in (-1, 0, 1, 2)}
+    maps, prev = {}, None
+    for k in (-1, 0, 1):
+        rows, cols = dims[k + 1], dims[k]
+        if not rows or not cols:
+            prev = None
+            continue
+        if prev is None:
+            allowed = linalg.identity(cols)
+        else:
+            allowed = linalg.nullspace([list(c) for c in zip(*prev)])
+        if not allowed:
+            prev = None
+            continue
+        coeffs = draw(st.lists(st.lists(st.integers(-1, 1), min_size=len(allowed),
+                                         max_size=len(allowed)),
+                               min_size=rows, max_size=rows))
+        maps[k] = prev = linalg.mat_mul(coeffs, allowed)
+    return QComplex(dims, maps)
+
+
+@given(qcomplexes())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_cohomology_basis_matches_greedy_selection(qc):
+    for k in (-1, 0, 1, 2):
+        reps = qc.cohomology_basis(k)
+        assert reps == greedy_cohomology_basis(qc, k)
+        assert len(reps) == qc.cohomology_dim(k)
 
 
 # -- hom complex ---------------------------------------------------------------

@@ -13,9 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defpair.groebner import (CapacityError, Caps, ModuleBasis, groebner_basis,
-                              ideal_contains, poly_reduce, solve_in_image,
-                              submodule_contains, syzygies)
+from defpair.groebner import (CapacityError, Caps, ModuleBasis, _tagged_generators,
+                              groebner_basis, ideal_contains, poly_reduce,
+                              solve_in_image, solve_many, submodule_contains,
+                              syzygies, vec_is_zero, vec_zero)
 from defpair.poly import LEX, PolyRing, mono_div, mono_lcm
 
 
@@ -305,3 +306,67 @@ def test_basis_does_not_depend_on_generator_order(vectors, rnd):
     assert ModuleBasis(R, 2, shuffled).basis == ModuleBasis(R, 2, gens).basis
     assert (groebner_basis([v[0] for v in shuffled])
             == groebner_basis([v[0] for v in gens]))
+
+
+def solve_one(ring, columns, target, ideal_gens=()):
+    """Reference: the one-target solver, one tagged module basis per target."""
+    n, k = len(target), len(columns)
+    mb = ModuleBasis(ring, n + k, _tagged_generators(ring, columns, n, ideal_gens))
+    r = mb.normal_form(tuple(target) + vec_zero(ring, k))
+    if not vec_is_zero(r[:n]):
+        return None
+    return tuple(-p for p in r[n:])
+
+
+_IDEALS = {"none": [], "x^2": ["x^2"], "xy-1": ["x*y - 1"], "cusp": ["y^2 - x^3"]}
+_small = st.dictionaries(st.tuples(st.integers(0, 1), st.integers(0, 1)),
+                         st.integers(-2, 2).filter(bool), min_size=1, max_size=2)
+
+
+@st.composite
+def module_systems(draw):
+    """Columns in R^2 over QQ[x,y], an ideal, and targets that are either
+    combinations of the columns or arbitrary vectors, in drawn order."""
+    R = PolyRing(["x", "y"])
+
+    def poly(terms):
+        return sum((R.monomial(m, c) for m, c in terms.items()), R.zero())
+
+    ideal = [R.parse(t) for t in _IDEALS[draw(st.sampled_from(sorted(_IDEALS)))]]
+    cols = [tuple(map(poly, v))
+            for v in draw(st.lists(st.tuples(_small, _small), min_size=1, max_size=3))]
+    targets = []
+    for in_image in draw(st.lists(st.booleans(), min_size=1, max_size=4)):
+        if in_image:
+            coeffs = [poly(t) for t in draw(st.lists(_small, min_size=len(cols),
+                                                     max_size=len(cols)))]
+            targets.append(tuple(sum((a * col[i] for a, col in zip(coeffs, cols)), R.zero())
+                                 for i in range(2)))
+        else:
+            targets.append(tuple(map(poly, draw(st.tuples(_small, _small)))))
+    return R, cols, ideal, targets
+
+
+@given(module_systems())
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_solve_many_matches_one_basis_per_target(system):
+    R, cols, ideal, targets = system
+    sols = solve_many(R, cols, targets, ideal_gens=ideal)
+    assert sols == [solve_one(R, cols, t, ideal) for t in targets]
+    gb = groebner_basis(ideal)
+    for t, sol in zip(targets, sols):
+        if sol is not None:
+            for i in range(2):
+                lhs = sum((a * col[i] for a, col in zip(sol, cols)), R.zero())
+                assert poly_reduce(lhs - t[i], gb).is_zero()
+
+
+def test_solve_many_inconsistent_before_consistent():
+    R = PolyRing(["x", "y"])
+    x, y = R.gens()
+    cols = [(x, y)]
+    targets = [(R.one(), R.zero()), (x * x + x, x * y + y), (y, x), (x, y)]
+    sols = solve_many(R, cols, targets)
+    assert sols == [None, (x + 1,), None, (R.one(),)]
+    assert sols == [solve_one(R, cols, t) for t in targets]
+    assert solve_many(R, cols, []) == []

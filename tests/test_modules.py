@@ -2,6 +2,7 @@
 
 import pytest
 
+from defpair import groebner
 from defpair.groebner import CapacityError
 from defpair.matrices import (det, exterior_matrix, identity_matrix, mat_eq,
                               mat_inverse, mat_mul, mat_is_zero)
@@ -261,3 +262,68 @@ def test_matrix_inverse():
     assert inv is not None
     assert mat_eq(mat_mul(L, a, inv), identity_matrix(L, 2))
     assert mat_inverse(L, [[s, L.zero()], [L.zero(), L.zero()]]) is None
+
+
+@pytest.fixture
+def basis_builds(monkeypatch):
+    """Counts the module Groebner bases built while the test runs."""
+    count = [0]
+    init = groebner.ModuleBasis.__init__
+
+    def counted(self, *args, **kwargs):
+        count[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(groebner.ModuleBasis, "__init__", counted)
+    return count
+
+
+def test_matrix_inverse_builds_one_basis(basis_builds):
+    # the transition of D(O(1)) on P1: every column of the inverse comes
+    # from one elimination of the same system
+    amb = PolyRing(("s", "t"))
+    L = QuotientRing(amb, [amb.parse("s*t - 1")])
+    s, t = L.gens()
+    a = [[-s * s, L.zero()], [s, L.one()]]
+    inv = mat_inverse(L, a)
+    assert basis_builds[0] == 1
+    assert inv == [[-t * t, L.zero()], [t, L.one()]]
+
+
+def test_free_module_normal_forms_build_no_basis(basis_builds):
+    amb = PolyRing(("x", "y"))
+    cusp = QuotientRing(amb, [amb.parse("y^2 - x^3")])
+    x, y = amb.gens()
+    F = FPModule.free(cusp, 2)
+    v = (y ** 3 + x, x * y ** 2 - 1)
+    assert F.nf(v) == tuple(cusp.nf(p) for p in v)
+    assert F.gen(1) == (cusp.zero(), cusp.one())
+    assert basis_builds[0] == 0
+    # the same normal form as against the basis of I*R^2
+    assert F.nf(v) == F._module_basis().normal_form(v)
+
+
+def test_solve_takes_every_target_at_once(Rx, M_xx2, basis_builds):
+    x = Rx.var(0)
+    cols = [(x, Rx.zero())]
+    targets = [M_xx2.gen(0), (Rx.zero(), x), (x * x, x ** 3)]
+    basis_builds[0] = 0
+    sols = M_xx2.solve(cols, targets)
+    assert basis_builds[0] == 1
+    # in R/(x) + R/(x^2) the column (x, 0) is zero: it reaches only zero
+    assert sols[:2] == [None, None]
+    (a,) = sols[2]
+    assert M_xx2.eq((a * x, Rx.zero()), targets[2])
+
+
+@pytest.mark.parametrize("rows", [
+    [["x", "x"], ["x"]],
+    [["x"], ["x", "x"]],
+    [[], ["x"]],
+])
+def test_ragged_matrices_are_rejected(Rx, rows):
+    rows = [[Rx.parse(t) for t in row] for row in rows]
+    with pytest.raises(ModuleError, match="rows differ in length"):
+        FPModule.cokernel(Rx, rows)
+    with pytest.raises(ModuleError, match="rows differ in length"):
+        FreeComplex.two_term(Rx, rows)

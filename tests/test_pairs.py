@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from defpair import groebner
 from defpair.groebner import CapacityError
 from defpair.matrices import det, mat_eq
 from defpair.modules import (FPModule, ModuleMap, fitting_ideal,
@@ -301,6 +302,28 @@ def test_lift_identity_surjection(Rx):
                               ((x, Rx.zero()), (Rx.one(), Rx.zero())))
     lifted = lift_through_surjection(p, ModuleMap.identity(M))
     assert lifted.eq(p)
+
+
+def test_lift_through_surjection_eliminates_twice(cusp, monkeypatch):
+    # P = R^3 ->> M = R^2 over the cusp: one elimination certifies
+    # surjectivity, one more lifts every generator image
+    x, y = cusp.gens()
+    P, M = FPModule.free(cusp, 3), FPModule.free(cusp, 2)
+    f = ModuleMap(P, M, [[cusp.one(), cusp.zero(), x], [cusp.zero(), cusp.one(), y]])
+    euler = (2 * x, 3 * y)
+    p = check_derivation_pair(cusp, M, euler, ((x, cusp.zero()), (y, x * y)))
+    builds = []
+    init = groebner.ModuleBasis.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(groebner.ModuleBasis, "__init__", counted)
+    lifted = lift_through_surjection(p, f)
+    assert len(builds) == 2
+    for i in range(P.ngens):
+        assert M.eq(f.apply(lifted.apply_u(P.gen(i))), p.apply_u(f.apply(P.gen(i))))
 
 
 def test_lift_nonsurjective_rejected(Rx):
