@@ -487,8 +487,7 @@ def transition_law(ring, C, U, N, h=None):
     out = mat.mat_mul(ring, C, mat.mat_mul(ring, U, N))
     if h is None:
         return out
-    hN = [[ring.apply_derivation(h, x) for x in row] for row in N]
-    return mat.mat_add(ring, out, mat.mat_mul(ring, C, hN))
+    return mat.mat_add(ring, out, mat.mat_mul(ring, C, mat.mat_derive(ring, h, N)))
 
 
 def _elementary_images(ring, C, N):

@@ -22,7 +22,7 @@ from .cech import (CechError, GluedScheme, LocallyFreeSheaf, cech_cohomology,
                    transition_law)
 from .dgla import (GradedMap, PairChain, PairComplexDGLA, QComplex, TraceData,
                    pair_complex_dgla)
-from .mc import PairContext, gauge_act, mc_check
+from .mc import PairContext, gauge_act, log_of_exps, mc_check
 from .modules import FPModule, FreeComplex
 from .pairs import DerivationPair, check_derivation_pair, exp_pair, zero_pair
 from .poly import Polynomial
@@ -272,10 +272,7 @@ def z1sc_check(space: DeformationSpace, l: dict, m: dict,
         mjk = space.restrict_chain((j, k), key, space.pair_entry(m, j, k))
         mik = space.restrict_chain((i, k), key, space.pair_entry(m, i, k))
         mij = space.restrict_chain((i, j), key, space.pair_entry(m, i, j))
-        lhs = ctx.log_action(ctx.compose_actions(
-            ctx.exp_action(mjk),
-            ctx.compose_actions(ctx.exp_action(D.neg_pair(mik)),
-                                ctx.exp_action(mij))))
+        lhs = log_of_exps(ctx, [mjk, D.neg_pair(mik), mij])
         witness = n.get(tup, None)
         if witness is None:
             rhs_hom = D.hom.zero(0)
@@ -313,13 +310,8 @@ def h1sc_equiv_check(space: DeformationSpace, lm0, lm1, a: dict, b: dict) -> dic
         ctx = space.context(key)
         ai = space.restrict_chain((i,), key, a[i])
         aj = space.restrict_chain((j,), key, a[j])
-        terms = [D.neg_pair(space.pair_entry(m0, i, j)), D.neg_pair(ai),
-                 space.pair_entry(m1, i, j), aj]
-        action = None
-        for t in terms:
-            e = ctx.exp_action(t)
-            action = e if action is None else ctx.compose_actions(action, e)
-        lhs = ctx.log_action(action)
+        lhs = log_of_exps(ctx, [D.neg_pair(space.pair_entry(m0, i, j)), D.neg_pair(ai),
+                                space.pair_entry(m1, i, j), aj])
         bij = b.get(key)
         if bij is None:
             rhs_hom = D.hom.zero(0)

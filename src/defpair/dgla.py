@@ -1,10 +1,15 @@
 """Differential graded Lie algebras: finite-dimensional table algebras,
 endomorphism complexes of bounded free complexes, and their pair-enhanced
-versions whose degree-zero part consists of derivation pairs per degree.
+versions whose degree-zero part consists of pairs (h, U): one anchor h, a
+derivation of the ring, shared by one matrix U_j per degree.
 
 Sign conventions, fixed once: the differential on graded maps is
 delta(f) = d o f - (-1)^{|f|} f o d, and the bracket is the graded commutator
-[f, g] = f o g - (-1)^{|f||g|} g o f.
+[f, g] = f o g - (-1)^{|f||g|} g o f.  A degree-zero pair acts as its u-part
+plus its anchor on entries, [(h, U), f] = [U, f] + h(f), and
+delta = [d, -]; every pair operation is the Hom* operation on the u-parts
+plus the anchor acting entrywise.  The anchor is validated once, where a pair
+is built, and Z^0 is the kernel of delta.
 """
 
 from __future__ import annotations
@@ -18,10 +23,10 @@ from . import linalg
 from . import matrices as mat
 from .groebner import solve_many, syzygies
 from .modules import FPModule, FreeComplex, ModuleMap
-from .pairs import (DerivationPair, PairError, check_derivation_pair,
+from .pairs import (DerivationPair, PairError, check_anchor, check_derivation_pair,
                     tensor_hom_transfer, trace_pair)
 from .poly import PolyRing, Polynomial
-from .rings import QuotientRing
+from .rings import ExtendedRing, QuotientRing
 
 
 class DGLAError(ValueError):
@@ -369,6 +374,8 @@ class HomComplexDGLA:
     def __init__(self, cx: FreeComplex):
         self.cx = cx
         self.ring = cx.ring
+        self.dmap = GradedMap(1, tuple((j, cx.diff(j)) for j in cx.degrees
+                                       if cx.rank(j) and cx.rank(j + 1)))
 
     def component_rank(self, p) -> int:
         return sum(self.cx.rank(j) * self.cx.rank(j + p) for j in self.cx.degrees)
@@ -447,10 +454,8 @@ class HomComplexDGLA:
 
     def d(self, f: GradedMap) -> GradedMap:
         """delta(f) = d o f - (-1)^{|f|} f o d."""
-        dmap = GradedMap(1, tuple((j, self.cx.diff(j)) for j in self.cx.degrees
-                                  if self.cx.rank(j) and self.cx.rank(j + 1)))
-        right = self.compose(f, dmap)
-        return self.add(self.compose(dmap, f), right if f.degree % 2 else self.neg(right))
+        right = self.compose(f, self.dmap)
+        return self.add(self.compose(self.dmap, f), right if f.degree % 2 else self.neg(right))
 
     def trace(self, f: GradedMap):
         """Alternating-sign trace; zero in degree != 0."""
@@ -486,7 +491,13 @@ class PairChain:
 
 
 class PairComplexDGLA:
-    """D*(R, E*): Hom^i for i != 0, pairs with common anchor in degree 0."""
+    """D*(R, E*): Hom^i for i != 0, pairs with common anchor in degree 0.
+
+    A degree-zero pair a = (h, U) is its u-part U = u_map(a) in Hom^0 plus
+    the anchor h acting on entries: [a, f] = [U, f] + h(f) for a graded map
+    f, delta(a) = -[a, d], and on a coefficient vector u_j(v) = U_j v + h(v).
+    The anchor is validated once, in `pair_chain`.
+    """
 
     def __init__(self, ring: QuotientRing, cx: FreeComplex):
         if cx.ring != ring:
@@ -497,36 +508,43 @@ class PairComplexDGLA:
 
     # -- constructors ------------------------------------------------------
     def pair_chain(self, h_values, blocks: dict) -> PairChain:
+        """The pair (h, U) with U_j = blocks[j], zero where no block is
+        given.  Raises PairError on an invalid anchor (`check_anchor`) and
+        DGLAError on a block that is not rank(j) x rank(j)."""
         ring = self.ring
-        h = tuple(ring.nf(p) for p in h_values)
-        witness = ring.derivation_well_defined(h)
-        if witness is not None:
-            raise PairError(f"anchor does not kill {witness}")
+        h = check_anchor(ring, h_values)
+        for j, m in blocks.items():
+            r = self.cx.rank(j)
+            if len(m) != r or any(len(row) != r for row in m):
+                raise DGLAError(f"block at degree {j} is not {r} x {r}")
         out = []
-        for j in sorted(blocks):
-            if self.cx.rank(j):
-                out.append((j, [[ring.nf(x) for x in row] for row in blocks[j]]))
-        given = {j for j, _ in out}
         for j in self.cx.degrees:
-            if self.cx.rank(j) and j not in given:
-                out.append((j, mat.zero_matrix(ring, self.cx.rank(j), self.cx.rank(j))))
-        out.sort(key=lambda t: t[0])
+            r = self.cx.rank(j)
+            if r:
+                m = blocks.get(j)
+                out.append((j, mat.zero_matrix(ring, r, r) if m is None
+                            else [[ring.nf(x) for x in row] for row in m]))
         return PairChain(h, tuple(out))
 
     def from_hom(self, f: GradedMap) -> PairChain:
         """Degree-zero R-linear maps embedded as anchor-zero pairs."""
         if f.degree != 0:
             raise DGLAError("only degree-zero maps embed as pairs")
-        zero_h = tuple(self.ring.zero() for _ in range(self.ring.nvars))
-        return self.pair_chain(zero_h, {j: m for j, m in f.blocks})
+        return self.pair_chain(self._zero_anchor(), dict(f.blocks))
 
     def zero_pair(self) -> PairChain:
-        zero_h = tuple(self.ring.zero() for _ in range(self.ring.nvars))
-        return self.pair_chain(zero_h, {})
+        return self.pair_chain(self._zero_anchor(), {})
 
     def anchor_lift(self, h_values) -> PairChain:
         """Witness for anchor surjectivity: (h, zero values per degree)."""
         return self.pair_chain(h_values, {})
+
+    def _zero_anchor(self) -> tuple:
+        return tuple(self.ring.zero() for _ in range(self.ring.nvars))
+
+    def u_map(self, chain: PairChain) -> GradedMap:
+        """The u-part of a pair as a degree-zero graded map."""
+        return GradedMap(0, chain.blocks)
 
     def degree_pair(self, chain: PairChain, j) -> DerivationPair:
         M = self.cx.module(j)
@@ -535,152 +553,90 @@ class PairComplexDGLA:
                          for i in range(M.ngens))
         return check_derivation_pair(self.ring, M, chain.h_values, u_values)
 
-    # -- operations on mixed degrees ----------------------------------------
+    # -- operations: Hom* on the u-part, the anchor on entries ---------------
+    def _derive(self, h_values, f: GradedMap) -> GradedMap:
+        """h applied to every entry of f."""
+        return GradedMap(f.degree, tuple((j, mat.mat_derive(self.ring, h_values, m))
+                                         for j, m in f.blocks))
+
     def apply_chain(self, chain: PairChain, j, vec):
-        """u_j applied to a coefficient vector of E^j."""
-        return self.degree_pair(chain, j).apply_u(vec)
+        """u_j applied to a coefficient vector of E^j: U_j vec + h(vec)."""
+        R = self.ring
+        return tuple(x + R.apply_derivation(chain.h_values, v)
+                     for x, v in zip(mat.mat_vec(R, chain.block(j) or [], vec), vec))
 
     def add_pairs(self, a: PairChain, b: PairChain) -> PairChain:
-        h = tuple(x + y for x, y in zip(a.h_values, b.h_values))
-        blocks = {}
-        for j, m in a.blocks:
-            mb = b.block(j)
-            blocks[j] = mat.mat_add(self.ring, m, mb)
-        return PairChain(h, tuple(sorted(blocks.items())))
+        return PairChain(tuple(x + y for x, y in zip(a.h_values, b.h_values)),
+                         self.hom.add(self.u_map(a), self.u_map(b)).blocks)
 
     def neg_pair(self, a: PairChain) -> PairChain:
-        return PairChain(tuple(-x for x in a.h_values),
-                         tuple((j, mat.mat_scale(self.ring, -1, m)) for j, m in a.blocks))
+        return PairChain(tuple(-x for x in a.h_values), self.hom.neg(self.u_map(a)).blocks)
 
     def pair_eq(self, a: PairChain, b: PairChain) -> bool:
-        if a.h_values != b.h_values:
-            return False
-        for j in self.cx.degrees:
-            ma, mb = a.block(j), b.block(j)
-            if ma is None and mb is None:
-                continue
-            if ma is None or mb is None:
-                return False
-            if not mat.mat_eq(ma, mb):
-                return False
-        return True
+        return a.h_values == b.h_values and self.u_map(a) == self.u_map(b)
 
     def d_pair(self, chain: PairChain) -> GradedMap:
-        """delta of a degree-zero pair: blocks d_j u_j - u_{j+1} d_j."""
-        blocks = {}
-        for j in self.cx.degrees:
-            rj, rj1 = self.cx.rank(j), self.cx.rank(j + 1)
-            if rj == 0 or rj1 == 0:
-                continue
-            d = self.cx.diff(j)
-            cols = []
-            for i in range(rj):
-                img = self.apply_chain(chain, j, self.cx.module(j).gen(i))
-                upper = self.apply_chain(chain, j + 1,
-                                         tuple(d[a][i] for a in range(rj1)))
-                dv = mat.mat_vec(self.ring, d, img)
-                cols.append(tuple(x - y for x, y in zip(dv, upper)))
-            blocks[j] = mat.mat_from_columns(self.ring, cols, rj1)
-        return self.hom.from_blocks(1, blocks)
+        """delta of a degree-zero pair: -[a, d], blocks d_j U_j - U_{j+1} d_j
+        - h(d_j)."""
+        return self.hom.neg(self.bracket_pair_hom(chain, self.hom.dmap))
 
     def bracket_pairs(self, a: PairChain, b: PairChain) -> PairChain:
-        from .pairs import pair_bracket
-        h = tuple(self.ring.apply_derivation(a.h_values, b.h_values[i])
-                  - self.ring.apply_derivation(b.h_values, a.h_values[i])
-                  for i in range(self.ring.nvars))
-        blocks = {}
-        for j in self.cx.degrees:
-            if self.cx.rank(j) == 0:
-                continue
-            pa = self.degree_pair(a, j)
-            pb = self.degree_pair(b, j)
-            br = pair_bracket(pa, pb)
-            blocks[j] = mat.mat_from_columns(self.ring, list(br.u_values),
-                                             self.cx.rank(j))
-        return PairChain(h, tuple(sorted(blocks.items())))
+        """([h, k], [U, V] + h(V) - k(U))."""
+        R = self.ring
+        h, k = a.h_values, b.h_values
+        anchor = tuple(R.apply_derivation(h, y) - R.apply_derivation(k, x)
+                       for x, y in zip(h, k))
+        U, V = self.u_map(a), self.u_map(b)
+        u = self.hom.add(self.hom.bracket(U, V),
+                         self.hom.add(self._derive(h, V), self.hom.neg(self._derive(k, U))))
+        return PairChain(anchor, u.blocks)
 
     def bracket_pair_hom(self, a: PairChain, f: GradedMap) -> GradedMap:
-        """[a, f] for a degree-zero pair and a graded R-linear map."""
-        blocks = {}
-        p = f.degree
-        for j in self.cx.degrees:
-            fj = f.block(j)
-            if fj is None:
-                continue
-            rj, rt = self.cx.rank(j), self.cx.rank(j + p)
-            cols = []
-            for i in range(rj):
-                # u_{j+p}(f(e_i)) - f(u_j(e_i))
-                fv = tuple(fj[aa][i] for aa in range(rt))
-                left = self.apply_chain(a, j + p, fv)
-                uv = self.apply_chain(a, j, self.cx.module(j).gen(i))
-                right = mat.mat_vec(self.ring, fj, uv)
-                cols.append(tuple(x - y for x, y in zip(left, right)))
-            blocks[j] = mat.mat_from_columns(self.ring, cols, rt)
-        return self.hom.from_blocks(p, blocks)
+        """[a, f] = [U, f] + h(f) for a degree-zero pair and a graded
+        R-linear map."""
+        return self.hom.add(self.hom.bracket(self.u_map(a), f),
+                            self._derive(a.h_values, f))
 
     # -- Z^0 and H^0 bookkeeping --------------------------------------------
     def z0_generators(self):
-        """Generators of the chain pairs (h, u_*) commuting with d.
+        """Generators of the chain pairs (h, u_*) commuting with d: the
+        kernel of delta, with h killing the relations of R.
 
-        Solved as one exact linear system in (h-values, per-degree matrices).
+        One syzygy system over the unit pairs: the unit anchors (A-linear
+        ones over an extended ring), then the matrix units of each degree,
+        column after column.  Each column holds h(relations), then delta of
+        the unit pair, block after block, column after column.
         """
         R = self.ring
-        amb = R.ambient
-        n = R.nvars
-        degs = [j for j in self.cx.degrees if self.cx.rank(j)]
-        offsets = {}
-        total = n
-        for j in degs:
-            offsets[j] = total
-            total += self.cx.rank(j) ** 2
-        rows_id = len(R.relations)
-        eq_rows = rows_id
-        eq_blocks = []
-        for j in degs:
-            if self.cx.rank(j + 1):
-                eq_blocks.append((j, eq_rows))
-                eq_rows += self.cx.rank(j + 1) * self.cx.rank(j)
+        n = R.base.nvars if isinstance(R, ExtendedRing) else R.nvars
+        zero_h = self._zero_anchor()
+        ranks = [(j, self.cx.rank(j)) for j in self.cx.degrees if self.cx.rank(j)]
+        units = [PairChain(zero_h[:i] + (R.one(),) + zero_h[i + 1:], ()) for i in range(n)]
+        for j, r in ranks:
+            for i in range(r):
+                for t in range(r):
+                    m = mat.zero_matrix(R, r, r)
+                    m[t][i] = R.one()
+                    units.append(PairChain(zero_h, ((j, m),)))
         cols = []
-        for t in range(total):
-            cols.append([R.zero()] * eq_rows)
-        # h-columns: kill the ideal + the h-part of each chain square
-        for i in range(n):
-            for l, g in enumerate(R.relations):
-                cols[i][l] = g.diff(i)
-        for j, base in eq_blocks:
-            d = self.cx.diff(j)
-            rj, rj1 = self.cx.rank(j), self.cx.rank(j + 1)
-            for i in range(rj):
-                for a in range(rj1):
-                    row = base + i * rj1 + a
-                    # equation: (d u_j - u_{j+1} d)(e_i)_a = 0
-                    # h-part: -h(d[a][i])
-                    for v in range(n):
-                        cols[v][row] = cols[v][row] - d[a][i].diff(v)
-                    # u_j part: sum_t d[a][t] * U_j[t][i]
-                    for t in range(rj):
-                        idx = offsets[j] + i * rj + t
-                        cols[idx][row] = cols[idx][row] + d[a][t]
-                    # u_{j+1} part: -sum_b d[b][i] * U_{j+1}[a][b]
-                    if self.cx.rank(j + 1):
-                        for b in range(rj1):
-                            idx = offsets[j + 1] + b * rj1 + a
-                            cols[idx][row] = cols[idx][row] - d[b][i]
+        for unit in units:
+            col = [R.apply_derivation(unit.h_values, g) for g in R.relations]
+            col.extend(x for _, m in self.d_pair(unit).blocks for c in zip(*m) for x in c)
+            cols.append(tuple(col))
         out = []
-        sy = syzygies(amb, [tuple(c) for c in cols], ideal_gens=R.gb, caps=R.caps)
-        for s in sy:
-            blocks = {}
-            for j in degs:
-                rj = self.cx.rank(j)
-                blocks[j] = [[s[offsets[j] + i * rj + t] for i in range(rj)]
-                             for t in range(rj)]
+        for s in syzygies(R.ambient, cols, ideal_gens=R.gb, caps=R.caps):
+            blocks, pos = {}, n
+            for j, r in ranks:
+                blocks[j] = [[s[pos + i * r + t] for i in range(r)] for t in range(r)]
+                pos += r * r
             # pair_chain reduces the solver's tag coordinates
-            chain = self.pair_chain(s[:n], blocks)
-            if any(not p.is_zero() for p in chain.h_values) or \
-                    not all(mat.mat_is_zero(m) for _, m in chain.blocks):
+            chain = self.pair_chain(s[:n] + zero_h[n:], blocks)
+            if not self.is_zero_pair(chain):
                 out.append(chain)
         return out
+
+    def is_zero_pair(self, a: PairChain) -> bool:
+        return all(h.is_zero() for h in a.h_values) and self.hom.is_zero(self.u_map(a))
 
     def coboundaries_into_degree0(self):
         """delta images of the Hom^{-1} basis, embedded as anchor-zero pairs."""
@@ -801,7 +757,9 @@ def split_sequence_pairs(alpha: ModuleMap, beta: ModuleMap) -> SplitSequenceData
     comp = beta.compose(alpha)
     if not comp.is_zero_map():
         raise DGLAError("beta o alpha != 0")
-    if not beta.cokernel_is_zero():
+    # one solve certifies surjectivity and gives the section
+    sigma = _section_of(beta)
+    if sigma is None:
         raise DGLAError("beta is not surjective")
     # alpha injective and im alpha = ker beta, checked via syzygies
     amb = R.ambient
@@ -872,7 +830,6 @@ def split_sequence_pairs(alpha: ModuleMap, beta: ModuleMap) -> SplitSequenceData
     # surjectivity of L -> D(R, M): anchors h of D(R,M) generators lift into L
     DM = derivation_pair_module(R, M)
     lift_ok = True
-    sigma = _section_of(beta)
     for g in DM.generators:
         # candidate lift: v(e) = sigma(u(beta(e))) degreewise on generators
         u_values = []
@@ -892,11 +849,12 @@ def split_sequence_pairs(alpha: ModuleMap, beta: ModuleMap) -> SplitSequenceData
 
 
 def _section_of(beta: ModuleMap):
-    """Matrix of a section sigma with beta o sigma = id (free modules)."""
+    """Matrix of a section sigma with beta o sigma = id (free modules), or
+    None when beta is not surjective."""
     R = beta.ring
     P, M = beta.source, beta.target
     cols = [beta.column(j) for j in range(P.ngens)]
     sig_cols = M.solve(cols, [M.gen(i) for i in range(M.ngens)])
     if None in sig_cols:
-        raise DGLAError("no section: beta not surjective")
+        return None
     return mat.mat_from_columns(R, sig_cols, P.ngens)

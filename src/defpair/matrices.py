@@ -60,6 +60,11 @@ def mat_vec(ring, a, v):
                  for row in a)
 
 
+def mat_derive(ring, h_values, a):
+    """The derivation with h(x_i) = h_values[i] applied to every entry of a."""
+    return [[ring.apply_derivation(h_values, x) for x in row] for row in a]
+
+
 def mat_col(a, j):
     return tuple(row[j] for row in a)
 

@@ -104,9 +104,11 @@ class TableContext:
         m = self._rep_matrix(x)
         return _mat_exp_nilpotent(self.A, m)
 
-    def bch(self, a: TElt, b: TElt) -> TElt:
-        prod = mat.mat_mul(self.A, self.exp_action(a), self.exp_action(b))
-        return self._unrep(_mat_log_unipotent(self.A, prod))
+    def compose_actions(self, a, b):
+        return mat.mat_mul(self.A, a, b)
+
+    def log_action(self, a) -> TElt:
+        return self._unrep(_mat_log_unipotent(self.A, a))
 
 
 def _mat_series(ring, acc, v, right, weight):
@@ -186,10 +188,6 @@ class HomContext:
         blocks = {j: _mat_log_unipotent(self.ring, m) for j, m in a.items()}
         return self.H.from_blocks(0, blocks)
 
-    def bch(self, x: GradedMap, y: GradedMap) -> GradedMap:
-        return self.log_action(self.compose_actions(self.exp_action(x),
-                                                    self.exp_action(y)))
-
 
 class PairContext:
     """Pair complex over an extended ring: degree 0 elements are PairChains,
@@ -225,8 +223,7 @@ class PairContext:
         if isinstance(x, PairChain):
             # the anchor values scale as a one-row matrix
             (h,) = mat.mat_scale(self.ring, c, [x.h_values])
-            return PairChain(tuple(h), tuple((j, mat.mat_scale(self.ring, c, m))
-                                             for j, m in x.blocks))
+            return PairChain(tuple(h), self.D.hom.scale(c, self.D.u_map(x)).blocks)
         return self.D.hom.scale(c, x)
 
     def d(self, x):
@@ -246,15 +243,13 @@ class PairContext:
 
     def is_zero(self, x) -> bool:
         if isinstance(x, PairChain):
-            return (all(h.is_zero() for h in x.h_values)
-                    and all(mat.mat_is_zero(m) for _, m in x.blocks))
+            return self.D.is_zero_pair(x)
         return self.D.hom.is_zero(x)
 
     def in_max_ideal(self, x) -> bool:
         if isinstance(x, PairChain):
             return (all(self.ring.in_max_ideal(h) for h in x.h_values)
-                    and all(self.ring.in_max_ideal(v) for _, m in x.blocks
-                            for row in m for v in row))
+                    and self.in_max_ideal(self.D.u_map(x)))
         return all(self.ring.in_max_ideal(v) for _, m in x.blocks
                    for row in m for v in row)
 
@@ -282,10 +277,6 @@ class PairContext:
         if h is None:
             return self.D.zero_pair()
         return self.D.pair_chain(h, blocks)
-
-    def bch(self, x: PairChain, y: PairChain) -> PairChain:
-        return self.log_action(self.compose_actions(self.exp_action(x),
-                                                    self.exp_action(y)))
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +317,17 @@ def bch(ctx, a, b):
         raise MCError("BCH product needs degree-0 elements")
     if not (ctx.in_max_ideal(a) and ctx.in_max_ideal(b)):
         raise MCError("BCH product needs maximal-ideal elements")
-    return ctx.bch(a, b)
+    return log_of_exps(ctx, [a, b])
+
+
+def log_of_exps(ctx, terms):
+    """log(exp t_1 o exp t_2 o ...) through the context's operator action:
+    exp_action, compose_actions and log_action."""
+    action = None
+    for t in terms:
+        e = ctx.exp_action(t)
+        action = e if action is None else ctx.compose_actions(action, e)
+    return ctx.log_action(action)
 
 
 # ---------------------------------------------------------------------------

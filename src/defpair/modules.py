@@ -191,12 +191,6 @@ class ModuleMap:
         return all(self.target.is_zero_elt(self.column(j))
                    for j in range(self.source.ngens))
 
-    def cokernel_is_zero(self) -> bool:
-        """True iff the map is surjective."""
-        cols = [self.column(j) for j in range(self.source.ngens)]
-        gens = [self.target.gen(i) for i in range(self.target.ngens)]
-        return None not in self.target.solve(cols, gens)
-
     def __repr__(self):
         return f"ModuleMap({self.source.ngens}->{self.target.ngens} over {self.ring!r})"
 

@@ -94,25 +94,32 @@ class DerivationPair:
                         for u, v in zip(self.u_values, other.u_values)))
 
 
-def check_derivation_pair(R: QuotientRing, M: FPModule, h_values, u_values) -> DerivationPair:
-    """Validate the generator data of a pair; raises PairError with a witness.
-
-    Over an extended ring the A-block values of h must vanish (A-linearity).
-    """
+def check_anchor(R: QuotientRing, h_values) -> tuple:
+    """The anchor h in normal form; raises PairError unless h has one value
+    per ring variable, is A-linear over an extended ring (its A-block values
+    vanish) and kills the relations of R."""
     h_values = tuple(R.nf(p) for p in h_values)
     if len(h_values) != R.nvars:
         raise PairError("h needs one value per ring variable")
-    u_values = tuple(M.nf(v) for v in u_values)
-    if len(u_values) != M.ngens:
-        raise PairError("u needs one value per module generator")
     if isinstance(R, ExtendedRing):
-        nb = R.base.nvars
-        for i in range(nb, R.nvars):
+        for i in range(R.base.nvars, R.nvars):
             if not h_values[i].is_zero():
                 raise PairError(f"not A-linear: h({R.variables[i]}) != 0")
     witness = R.derivation_well_defined(h_values)
     if witness is not None:
         raise PairError(f"not a derivation of R: h does not kill {witness}")
+    return h_values
+
+
+def check_derivation_pair(R: QuotientRing, M: FPModule, h_values, u_values) -> DerivationPair:
+    """Validate the generator data of a pair; raises PairError with a witness.
+
+    The anchor is checked by `check_anchor`.
+    """
+    h_values = check_anchor(R, h_values)
+    u_values = tuple(M.nf(v) for v in u_values)
+    if len(u_values) != M.ngens:
+        raise PairError("u needs one value per module generator")
     pair = DerivationPair(R, M, h_values, u_values)
     for l, col in enumerate(M.relations):
         acc = list(M.zero())
@@ -419,8 +426,7 @@ def tensor_hom_transfer(p: DerivationPair, q: Optional[DerivationPair],
     """
     R, M = p.ring, p.module
     if mode == "transpose":
-        one = FPModule.free(R, 1)
-        q = check_derivation_pair(R, one, p.h_values, ((R.zero(),),))
+        q = canonical_pair(R, p.h_values)
         mode = "hom"
     if q is None:
         raise PairError("second pair required")
@@ -529,10 +535,14 @@ def lift_through_surjection(p: DerivationPair, f: ModuleMap) -> DerivationPair:
     P, M = f.source, f.target
     if P.relations:
         raise PairError("lifting needs a free source")
-    if not f.cokernel_is_zero():
-        raise PairError("map is not surjective: cokernel is nonzero")
     cols = [f.column(j) for j in range(P.ngens)]
-    v_values = M.solve(cols, [p.apply_u(col) for col in cols])
+    # one elimination: the generators of M certify surjectivity, the images
+    # u(f(e_i)) give the lift
+    sols = M.solve(cols, [M.gen(t) for t in range(M.ngens)]
+                   + [p.apply_u(col) for col in cols])
+    if None in sols[:M.ngens]:
+        raise PairError("map is not surjective: cokernel is nonzero")
+    v_values = sols[M.ngens:]
     if None in v_values:
         raise PairError("no lift exists for a generator image")
     lifted = check_derivation_pair(R, P, p.h_values, tuple(v_values))

@@ -106,9 +106,6 @@ class QuotientRing:
     def mul(self, a: Polynomial, b: Polynomial) -> Polynomial:
         return self.nf(a * b)
 
-    def is_polynomial_ring(self) -> bool:
-        return not self.gb
-
     def apply_derivation(self, h_values, p: Polynomial) -> Polynomial:
         """Value of the derivation with h(x_i) = h_values[i] on p (chain rule)."""
         acc = self.ambient.zero()
