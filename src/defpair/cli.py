@@ -551,24 +551,27 @@ class Session:
 
     # -- commands --------------------------------------------------------------
     def run_command(self, cmd: Command) -> dict:
-        name = cmd.words[0]
-        handler = {
-            "groebner": self._cmd_groebner,
-            "fitting": self._cmd_fitting,
-            "derpairs": self._cmd_derpairs,
-            "resolution": self._cmd_resolution,
-            "kaehler": self._cmd_kaehler,
-            "artin-info": self._cmd_artin_info,
-            "cech-cohomology": self._cmd_cech,
-            "t-spaces": self._cmd_tspaces,
-            "first-order-bridge": self._cmd_bridge,
-            "mc-check": self._cmd_mc_check,
-            "trace-diagram-check": self._cmd_trace_diagram,
-            "prorep": self._cmd_prorep,
-        }.get(name)
+        name, args = cmd.words[0], cmd.words[1:]
+        handler, arity = {
+            "groebner": (self._cmd_groebner, 1),
+            "fitting": (self._cmd_fitting, 1),
+            "derpairs": (self._cmd_derpairs, 2),
+            "resolution": (self._cmd_resolution, 1),
+            "kaehler": (self._cmd_kaehler, 1),
+            "artin-info": (self._cmd_artin_info, 1),
+            "cech-cohomology": (self._cmd_cech, 2),
+            "t-spaces": (self._cmd_tspaces, 2),
+            "first-order-bridge": (self._cmd_bridge, 2),
+            "mc-check": (self._cmd_mc_check, 3),
+            "trace-diagram-check": (self._cmd_trace_diagram, 1),
+            "prorep": (self._cmd_prorep, 1),
+        }.get(name, (None, 0))
         if handler is None:
             raise ScriptError(f"unknown command {name!r}", cmd.line)
-        return handler(cmd.words[1:])
+        if len(args) != arity:
+            raise ScriptError(f"command {name!r} takes {arity} argument"
+                              f"{'' if arity == 1 else 's'}, got {len(args)}", cmd.line)
+        return handler(args)
 
     def _cmd_groebner(self, args):
         basis = self._get(args[0], Ideal).groebner()

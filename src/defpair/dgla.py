@@ -24,7 +24,7 @@ from . import matrices as mat
 from .groebner import solve_many, syzygies
 from .modules import FPModule, FreeComplex, ModuleMap
 from .pairs import (DerivationPair, PairError, check_anchor, check_derivation_pair,
-                    tensor_hom_transfer, trace_pair)
+                    pair_law, tensor_hom_transfer, trace_pair)
 from .poly import PolyRing, Polynomial
 from .rings import ExtendedRing, QuotientRing
 
@@ -560,10 +560,11 @@ class PairComplexDGLA:
                                          for j, m in f.blocks))
 
     def apply_chain(self, chain: PairChain, j, vec):
-        """u_j applied to a coefficient vector of E^j: U_j vec + h(vec)."""
+        """u_j applied to a coefficient vector of E^j: U_j vec + h(vec), the
+        pair law with the columns of U_j as u-values."""
         R = self.ring
-        return tuple(x + R.apply_derivation(chain.h_values, v)
-                     for x, v in zip(mat.mat_vec(R, chain.block(j) or [], vec), vec))
+        law = pair_law(R, chain.h_values, tuple(zip(*(chain.block(j) or []))), vec)
+        return tuple(R.nf(x) for x in law)
 
     def add_pairs(self, a: PairChain, b: PairChain) -> PairChain:
         return PairChain(tuple(x + y for x, y in zip(a.h_values, b.h_values)),
@@ -775,8 +776,8 @@ def split_sequence_pairs(alpha: ModuleMap, beta: ModuleMap) -> SplitSequenceData
     # generators of D(R, P): anchor lifts (h, 0) plus matrix units
     from .pairs import derivation_pair_module
     DP = derivation_pair_module(R, P)
-    # L = pairs preserving alpha(K): keep generator combinations solving
-    # beta(u(alpha(e_t))) = 0; assembled as one linear system over the span
+    # L = pairs preserving alpha(K): the D(R, P) generators with
+    # beta(u(alpha(e_t))) = 0 for every t, each kept or dropped on its own
     L_gens = []
     for g in DP.generators:
         ok = True

@@ -278,11 +278,16 @@ def syzygies(ring: PolyRing, columns: list, ideal_gens: list = (),
     columns are vectors of equal length n over the ambient ring; ideal_gens
     generate I (empty for the plain polynomial ring).  Returned vectors s of
     length len(columns) satisfy sum s_j * columns[j] = 0 modulo I exactly.
+    Columns of length 0 (a system with no equations) have the unit vectors
+    as syzygies, returned without building a basis.
     """
     if not columns:
         return []
     n = len(columns[0])
     k = len(columns)
+    if n == 0:
+        zero, one = ring.zero(), ring.one()
+        return [tuple(one if t == j else zero for t in range(k)) for j in range(k)]
     gens = _tagged_generators(ring, columns, n, ideal_gens)
     mb = ModuleBasis(ring, n + k, gens, order=order, caps=caps)
     out = []
@@ -307,6 +312,9 @@ def solve_many(ring: PolyRing, columns: list, targets, ideal_gens: list = (),
     if not targets:
         return []
     n, k = len(targets[0]), len(columns)
+    if n == 0:
+        # no equations: zero solves every (empty) target
+        return [vec_zero(ring, k)] * len(targets)
     gens = _tagged_generators(ring, columns, n, ideal_gens)
     mb = ModuleBasis(ring, n + k, gens, order=order, caps=caps)
     pad = vec_zero(ring, k)

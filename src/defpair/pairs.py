@@ -2,8 +2,16 @@
 
 A derivation of the pair (R, M) is a couple (h, u): h a derivation of R and
 u an additive endomorphism of M with u(r*m) - r*u(m) = h(r)*m.  Both maps are
-stored by their values on generators; the defining law reconstructs them
-everywhere, and validity amounts to exact checks on the defining relations.
+stored by their values on generators.  On a coefficient vector the pair acts
+by the pair law, `pair_law`: u(v) = sum_j v_j*u(e_j) + h(v).  It is the one
+place that formula is written: `apply_u`, the relation checks of derivation
+and automorphism pairs, and the linear systems all use it.
+
+D(R, M) is the kernel of one linear system over unit pairs: the unit anchors
+h = e_i, then the matrix units u(e_b) = e_a, b-major.  Each column is the law
+of a unit pair on the relations of R and of M, next to M's relations placed
+in each block.  Hom_R(M, M) is its kernel without the anchors, Der(R) is
+D(R, 0), and `lift_anchor` solves it for u over a given anchor.
 
 Over an extension R (x) A by an Artin local algebra, pairs with values in the
 maximal-ideal part are nilpotent; their exponentials are automorphism pairs
@@ -49,17 +57,8 @@ class DerivationPair:
         return self.ring.apply_derivation(self.h_values, p)
 
     def apply_u(self, vec):
-        """u on a coefficient vector: sum a_j*u(e_j) + h(a_j)*e_j."""
-        M = self.module
-        out = list(M.zero())
-        for j, a in enumerate(vec):
-            if not a.is_zero():
-                for t in range(M.ngens):
-                    out[t] = out[t] + a * self.u_values[j][t]
-            ha = self.apply_h(a)
-            if not ha.is_zero():
-                out[j] = out[j] + ha
-        return M.nf(tuple(out))
+        """u on a coefficient vector, by the pair law."""
+        return self.module.nf(pair_law(self.ring, self.h_values, self.u_values, vec))
 
     def is_zero(self) -> bool:
         return (all(p.is_zero() for p in self.h_values)
@@ -94,6 +93,16 @@ class DerivationPair:
                         for u, v in zip(self.u_values, other.u_values)))
 
 
+def pair_law(R: QuotientRing, h_values, u_values, vec) -> tuple:
+    """The pair (h, u) on a coefficient vector, unreduced:
+    sum_j vec_j * u(e_j) + h(vec), with h acting on each coordinate."""
+    out = [R.apply_derivation(h_values, a) for a in vec]
+    for a, u in zip(vec, u_values):
+        if not a.is_zero():
+            out = [x + a * c for x, c in zip(out, u)]
+    return tuple(out)
+
+
 def check_anchor(R: QuotientRing, h_values) -> tuple:
     """The anchor h in normal form; raises PairError unless h has one value
     per ring variable, is A-linear over an extended ring (its A-block values
@@ -122,14 +131,7 @@ def check_derivation_pair(R: QuotientRing, M: FPModule, h_values, u_values) -> D
         raise PairError("u needs one value per module generator")
     pair = DerivationPair(R, M, h_values, u_values)
     for l, col in enumerate(M.relations):
-        acc = list(M.zero())
-        for j, r in enumerate(col):
-            for t in range(M.ngens):
-                acc[t] = acc[t] + r * u_values[j][t]
-            hr = pair.apply_h(r)
-            if not hr.is_zero():
-                acc[j] = acc[j] + hr
-        if not M.is_zero_elt(tuple(acc)):
+        if not vec_is_zero(pair.apply_u(col)):
             raise PairError(f"pair condition fails at relation {l}")
     return pair
 
@@ -175,22 +177,8 @@ def check_arrow_pair(f: ModuleMap, p: DerivationPair, q: DerivationPair) -> tupl
 
 
 def derivation_module(R: QuotientRing) -> list:
-    """Generators of Der(R) as h-value tuples."""
-    if not R.relations:
-        basis = []
-        for i in range(R.nvars):
-            basis.append(tuple(R.one() if j == i else R.zero() for j in range(R.nvars)))
-        return basis
-    amb = R.ambient
-    cols = []
-    for i in range(R.nvars):
-        cols.append(tuple(g.diff(i) for g in R.relations))
-    out = []
-    for s in syzygies(amb, cols, ideal_gens=R.gb, caps=R.caps):
-        v = tuple(R.nf(p) for p in s)
-        if not vec_is_zero(v):
-            out.append(v)
-    return out
+    """Generators of Der(R) as h-value tuples: the anchors of D(R, 0)."""
+    return [p.h_values for p in _pair_kernel(R, FPModule(R, 0))]
 
 
 @dataclass
@@ -254,129 +242,85 @@ def _relation_slots(R: QuotientRing, M: FPModule, offset: int) -> list:
     return out
 
 
-def _pair_system_columns(R: QuotientRing, M: FPModule, include_h: bool):
-    """Columns of the defining linear system for (h-values, u-values)."""
-    n = R.nvars if include_h else 0
-    k = M.ngens
-    n_id = len(R.relations)
-    n_mod = len(M.relations)
-    D = n_id + k * n_mod
-    cols = []
-    if include_h:
-        for i in range(R.nvars):
-            col = [g.diff(i) for g in R.relations]
-            for rel in M.relations:
-                col.extend(rel[a].diff(i) for a in range(k))
-            cols.append(tuple(col))
-    for b in range(k):
-        for a in range(k):
-            col = [R.zero()] * n_id
-            for l, rel in enumerate(M.relations):
-                block = [R.zero()] * k
-                block[a] = rel[b]
-                col.extend(block)
-            cols.append(tuple(col))
-    # relation columns of the product target (module relations per block)
-    target_rels = []
-    for l in range(n_mod):
-        for rel in M.relations:
-            col = [R.zero()] * D
-            for a in range(k):
-                col[n_id + l * k + a] = rel[a]
-            target_rels.append(tuple(col))
-    return cols, target_rels, D
+def _law_column(R: QuotientRing, M: FPModule, h_values, u_values) -> tuple:
+    """h on the relations of R, then the pair law on each relation of M."""
+    col = tuple(R.apply_derivation(h_values, g) for g in R.relations)
+    for rel in M.relations:
+        col += pair_law(R, h_values, u_values, rel)
+    return col
+
+
+def _pair_system(R: QuotientRing, M: FPModule, anchors: bool = True) -> list:
+    """Columns of the linear system whose kernel is D(R, M).
+
+    One column per unit pair -- the unit anchors h = e_i (left out when
+    `anchors` is false), then the matrix units u(e_b) = e_a, b-major --
+    holding its `_law_column`.  Then come M's relations placed in each block
+    of M's relations, since the law's values there are defined modulo them.
+    """
+    n, k = R.nvars, M.ngens
+    zero, one = R.zero(), R.one()
+    zero_u = ((zero,) * k,) * k
+    units = [(tuple(one if j == i else zero for j in range(n)), zero_u)
+             for i in range(n)] if anchors else []
+    units += [((zero,) * n,
+               tuple(tuple(one if (t, c) == (b, a) else zero for c in range(k))
+                     for t in range(k)))
+              for b in range(k) for a in range(k)]
+    cols = [_law_column(R, M, h, u) for h, u in units]
+    pad, blank, m = (zero,) * len(R.relations), (zero,) * k, len(M.relations)
+    cols += [pad + blank * l + rel + blank * (m - 1 - l)
+             for l in range(m) for rel in M.relations]
+    return cols
+
+
+def _pair_kernel(R: QuotientRing, M: FPModule, anchors: bool = True) -> list:
+    """The nonzero pairs read off the syzygies of the pair system: D(R, M),
+    or Hom_R(M, M) without the anchors."""
+    n, k = (R.nvars if anchors else 0), M.ngens
+    zero_h = tuple(R.zero() for _ in range(R.nvars))
+    out = []
+    for s in syzygies(R.ambient, _pair_system(R, M, anchors), ideal_gens=R.gb,
+                      caps=R.caps):
+        h = tuple(R.nf(p) for p in s[:n]) if anchors else zero_h
+        u = tuple(M.nf(s[n + b * k:n + (b + 1) * k]) for b in range(k))
+        pair = DerivationPair(R, M, h, u)
+        if not pair.is_zero():
+            out.append(pair)
+    return out
 
 
 def derivation_pair_module(R: QuotientRing, M: FPModule) -> PairModule:
-    """Generators of D(R, M) as the kernel of the explicit linear system.
+    """Generators of D(R, M) as the kernel of the pair system.
 
     Also computes generators of Hom_R(M,M) (the anchor kernel) and of Der(R)
     so that the exact sequence 0 -> Hom -> D -> Der can be certified.
     """
-    amb = R.ambient
-    n, k = R.nvars, M.ngens
-    cols, target_rels, D = _pair_system_columns(R, M, include_h=True)
-    gens = []
-    if D == 0:
-        # no constraints at all: free h-values and u-values
-        for i in range(n):
-            h = [R.zero()] * n
-            h[i] = R.one()
-            gens.append(DerivationPair(R, M, tuple(h),
-                                       tuple(M.zero() for _ in range(k))))
-        for b in range(k):
-            for a in range(k):
-                u = [list(M.zero()) for _ in range(k)]
-                u[b][a] = R.one()
-                gens.append(DerivationPair(R, M, tuple(R.zero() for _ in range(n)),
-                                           tuple(tuple(vv) for vv in u)))
-    else:
-        for s in syzygies(amb, cols + target_rels, ideal_gens=R.gb, caps=R.caps):
-            h = tuple(R.nf(p) for p in s[:n])
-            u = []
-            for b in range(k):
-                vec = tuple(s[n + b * k + a] for a in range(k))
-                u.append(M.nf(vec))
-            pair = DerivationPair(R, M, h, tuple(u))
-            if not pair.is_zero():
-                gens.append(pair)
-    validated = [check_derivation_pair(R, M, p.h_values, p.u_values) for p in gens]
-    hom = hom_endomorphisms(R, M)
-    der = derivation_module(R)
-    return PairModule(R, M, validated, hom, der)
+    validated = [check_derivation_pair(R, M, p.h_values, p.u_values)
+                 for p in _pair_kernel(R, M)]
+    return PairModule(R, M, validated, hom_endomorphisms(R, M), derivation_module(R))
 
 
 def hom_endomorphisms(R: QuotientRing, M: FPModule) -> list:
     """Generators of Hom_R(M, M) as anchor-zero derivation pairs."""
-    amb = R.ambient
-    k = M.ngens
-    if k == 0:
-        return []
-    cols, target_rels, D = _pair_system_columns(R, M, include_h=False)
-    zero_h = tuple(R.zero() for _ in range(R.nvars))
-    out = []
-    if D == 0:
-        for b in range(k):
-            for a in range(k):
-                u = [list(M.zero()) for _ in range(k)]
-                u[b][a] = R.one()
-                out.append(DerivationPair(R, M, zero_h, tuple(tuple(v) for v in u)))
-        return out
-    for s in syzygies(amb, cols + target_rels, ideal_gens=R.gb, caps=R.caps):
-        u = []
-        for b in range(k):
-            vec = tuple(s[b * k + a] for a in range(k))
-            u.append(M.nf(vec))
-        pair = DerivationPair(R, M, zero_h, tuple(u))
-        if not pair.is_zero():
-            out.append(check_derivation_pair(R, M, pair.h_values, pair.u_values))
-    return out
+    return [check_derivation_pair(R, M, p.h_values, p.u_values)
+            for p in _pair_kernel(R, M, anchors=False)]
 
 
 def lift_anchor(R: QuotientRing, M: FPModule, h_values) -> Optional[DerivationPair]:
-    """A pair (h, u) over the given anchor h, or None when the linear system
-    for u is infeasible."""
+    """A pair (h, u) over the given anchor h, or None when the pair system
+    has no solution with this anchor: the u-part solves law(u) = -law(h, 0)."""
     h_values = tuple(R.nf(p) for p in h_values)
     if R.derivation_well_defined(h_values) is not None:
         return None
     k = M.ngens
-    if k == 0:
-        return DerivationPair(R, M, h_values, ())
-    if not M.relations:
-        return check_derivation_pair(R, M, h_values,
-                                     tuple(M.zero() for _ in range(k)))
-    cols, target_rels, _ = _pair_system_columns(R, M, include_h=False)
-    rhs = [R.zero()] * len(R.relations)
-    for rel in M.relations:
-        rhs.extend(-R.apply_derivation(h_values, x) for x in rel)
-    sol = solve_in_image(R.ambient, cols + target_rels, tuple(rhs),
+    rhs = tuple(-x for x in _law_column(R, M, h_values, (M.zero(),) * k))
+    sol = solve_in_image(R.ambient, _pair_system(R, M, anchors=False), rhs,
                          ideal_gens=R.gb, caps=R.caps)
     if sol is None:
         return None
-    u = []
-    for b in range(k):
-        u.append(M.nf(tuple(sol[b * k + a] for a in range(k))))
-    return check_derivation_pair(R, M, h_values, tuple(u))
+    return check_derivation_pair(R, M, h_values,
+                                 tuple(M.nf(sol[b * k:(b + 1) * k]) for b in range(k)))
 
 
 def lie_derivative(R: QuotientRing, h_values) -> DerivationPair:
@@ -682,12 +626,7 @@ def check_automorphism_pair(R: ExtendedRing, M: FPModule, theta_images,
         if not all(R.in_max_ideal(c) for c in delta):
             raise PairError("phi does not reduce to the identity")
     for l, col in enumerate(M.relations):
-        acc = list(M.zero())
-        for j, r in enumerate(col):
-            tr = a.apply_theta(r)
-            for t in range(M.ngens):
-                acc[t] = acc[t] + tr * phi_values[j][t]
-        if not M.is_zero_elt(tuple(acc)):
+        if not vec_is_zero(a.apply_phi(col)):
             raise PairError(f"phi breaks module relation {l}")
     return a
 

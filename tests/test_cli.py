@@ -1,6 +1,7 @@
 """Script language parsing, execution, reports and the console entry point."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -144,6 +145,20 @@ def test_unknown_command_is_structured_error():
     reports = run_script("cmd make-coffee now;")
     assert reports[0].status == "error"
     assert "unknown command" in reports[0].payload["message"]
+
+
+def test_commands_check_their_argument_count():
+    # a missing argument used to surface as "list index out of range" and a
+    # surplus one was ignored; both name the command and its arity now
+    reports = run_script("ring R = QQ[x]; ideal I in R = (x); ideal J in R = (x^2);"
+                         "cmd groebner; cmd groebner I J; cmd derpairs R;"
+                         "cmd mc-check L A x y; cmd groebner I;")
+    assert [r.status for r in reports] == ["error"] * 4 + ["ok"]
+    messages = [r.payload["message"] for r in reports[:4]]
+    assert messages[0].startswith("command 'groebner' takes 1 argument, got 0")
+    assert messages[1].startswith("command 'groebner' takes 1 argument, got 2")
+    assert messages[2].startswith("command 'derpairs' takes 2 arguments, got 1")
+    assert messages[3].startswith("command 'mc-check' takes 3 arguments, got 4")
 
 
 def test_artin_info_and_errors():
@@ -325,6 +340,11 @@ def test_main_exit_codes(tmp_path):
 
 
 def test_console_script_installed():
+    # the child process imports the same defpair as this one, installed or not
+    import defpair
+    src = str(Path(defpair.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     out = subprocess.run([sys.executable, "-m", "defpair.cli", "run", "/dev/null"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=env)
     assert out.returncode == 0

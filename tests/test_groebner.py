@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from defpair import groebner
 from defpair.groebner import (CapacityError, Caps, ModuleBasis, _tagged_generators,
                               groebner_basis, ideal_contains, poly_reduce,
                               solve_in_image, solve_many, submodule_contains,
@@ -169,6 +170,28 @@ def test_torsion_free_single_column():
     R = PolyRing(["x"])
     x = R.var(0)
     assert syzygies(R, [(x * x,)]) == []
+
+
+def test_systems_without_equations_build_no_basis(monkeypatch):
+    # columns of length 0 impose no equation: every unit vector is a syzygy,
+    # modulo an ideal too, and no module basis is built for them
+    R = PolyRing(["x", "y"])
+    x = R.var(0)
+    builds = []
+    init = groebner.ModuleBasis.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(groebner.ModuleBasis, "__init__", counted)
+    units = [(R.one(), R.zero(), R.zero()), (R.zero(), R.one(), R.zero()),
+             (R.zero(), R.zero(), R.one())]
+    assert syzygies(R, [(), (), ()]) == units
+    assert syzygies(R, [(), (), ()], ideal_gens=[x * x]) == units
+    # and zero solves every (empty) target
+    assert solve_many(R, [(), ()], [(), ()]) == [(R.zero(), R.zero())] * 2
+    assert builds == []
 
 
 def test_syzygies_annihilate_exactly():

@@ -1,8 +1,10 @@
 """Derivation/automorphism pairs: validation, brackets, transfers, Leibniz
 extension, lifting, exponentials and Fitting invariance."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +25,8 @@ from defpair.pairs import (AutomorphismPair, DerivationPair, PairError,
                            tensor_hom_transfer, trace_pair, zero_pair)
 from defpair.poly import PolyRing
 from defpair.rings import QuotientRing, extend_ring, make_artin_algebra
+
+DATA = Path(__file__).parent / "data"
 
 
 def QQ(*names):
@@ -118,6 +122,97 @@ def test_pair_module_zero_module(Rx):
     # D(R, 0) = Der(R) via (h, 0)
     assert any(not g.h_values[0].is_zero() for g in D.generators)
     assert D.hom_generators == []
+
+
+def test_pair_module_build_count(Rx, monkeypatch):
+    # one basis for the pair system, one for M's relations, one for the
+    # Hom system
+    x = Rx.var(0)
+    M = FPModule.cokernel(Rx, [[x, Rx.one()], [Rx.zero(), x * x]])
+    builds = []
+    init = groebner.ModuleBasis.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(groebner.ModuleBasis, "__init__", counted)
+    D = derivation_pair_module(Rx, M)
+    assert D.generators
+    assert len(builds) == 3
+
+
+# -- golden pair modules ------------------------------------------------------
+
+def golden_pair_settings():
+    """Modules by name: free, zero and cokernel modules over QQ[x], the cusp
+    and the smooth cubic y^2 = x^3 - x - 1, and a free module over
+    QQ[x] (x) QQ[e]/(e^2)."""
+    out = {}
+    R = QQ("x")
+    x, z = R.var(0), R.zero()
+    out["x-free2"] = FPModule.free(R, 2)
+    out["x-zero"] = FPModule(R, 0, ())
+    out["x-coker-x2"] = FPModule.cokernel(R, [[x * x]])
+    out["x-coker-x-1-x2"] = FPModule.cokernel(R, [[x, R.one()], [z, x * x]])
+    out["x-coker-x2-x"] = FPModule.cokernel(R, [[x * x, z], [z, x]])
+    for name, rel in (("cusp", "y^2 - x^3"), ("cubic", "y^2 - x^3 + x + 1")):
+        amb = PolyRing(["x", "y"])
+        C = QuotientRing(amb, [amb.parse(rel)])
+        x, y = C.gens()
+        out[name + "-free1"] = FPModule.free(C, 1)
+        out[name + "-omega"] = kaehler_differentials(C)
+        out[name + "-coker-x-y"] = FPModule.cokernel(C, [[x, y], [y, x * x]])
+    E = extend_ring(QQ("x"), make_artin_algebra(["e"], ["e^2"]))
+    out["x-e-free2"] = FPModule.free(E, 2)
+    return out
+
+
+def poly_terms(p):
+    return [[list(m), str(c)] for m, c in sorted(p.terms.items())]
+
+
+def pair_canon(p):
+    if p is None:
+        return None
+    return {"h": [poly_terms(v) for v in p.h_values],
+            "u": [[poly_terms(c) for c in v] for v in p.u_values]}
+
+
+def outcome(f, *args):
+    """f(*args), or the message of the PairError it raises."""
+    try:
+        return f(*args)
+    except PairError as ex:
+        return str(ex)
+
+
+def pair_module_canon(M):
+    """D(R, M), Hom(M, M), Der(R) and anchor lifts of d/dx, x d/dx and every
+    Der(R) generator.  Over R (x) A, D(R, M) and the lifts of anchors moving
+    the Artin variable raise PairError; the message is recorded."""
+    R = M.ring
+    D = outcome(derivation_pair_module, R, M)
+    der = derivation_module(R)
+    anchors = [tuple(f if i == 0 else R.zero() for i in range(R.nvars))
+               for f in (R.one(), R.var(0))] + der
+    lifts = [outcome(lift_anchor, R, M, h) for h in anchors]
+    return {"generators": D if isinstance(D, str) else [pair_canon(g) for g in D.generators],
+            "hom": [pair_canon(g) for g in hom_endomorphisms(R, M)],
+            "der": [[poly_terms(v) for v in h] for h in der],
+            "lifts": [g if isinstance(g, str) else pair_canon(g) for g in lifts]}
+
+
+def golden_pair_text():
+    settings = golden_pair_settings()
+    return "{\n" + ",\n".join(f"{json.dumps(name)}: {json.dumps(pair_module_canon(M))}"
+                               for name, M in settings.items()) + "\n}\n"
+
+
+def test_pair_modules_match_golden():
+    # pins D(R, M), Hom(M, M), Der(R) and lift_anchor, generators and order,
+    # byte for byte: the syzygies depend on the order of the unit pairs
+    assert golden_pair_text() == (DATA / "pair_modules.json").read_text()
 
 
 # -- brackets ----------------------------------------------------------------
