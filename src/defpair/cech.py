@@ -153,13 +153,11 @@ def make_inclusion(source: QuotientRing, target: QuotientRing,
 class GluedScheme:
     """Affine charts with explicit overlap rings for subsets of size <= 3."""
 
-    def __init__(self, charts, rings: dict, inclusions: dict,
-                 artin: Optional[ArtinAlgebra] = None):
+    def __init__(self, charts, rings: dict, inclusions: dict):
         self.charts = list(charts)
         self.rings = {frozenset(k): v for k, v in rings.items()}
         self.inclusions = {(frozenset(a), frozenset(b)): v
                            for (a, b), v in inclusions.items()}
-        self.artin = artin
         self._identities = {}
         self._tangent_sheaf = None  # kept by tangent_sheaf
         for i, ch in enumerate(self.charts):
@@ -205,10 +203,10 @@ class GluedScheme:
 
 def projective_line() -> GluedScheme:
     """Two charts QQ[s], QQ[t] glued by t = 1/s, with torus weights 1, -1."""
-    c0 = QuotientRing(PolyRing(("s",), GREVLEX, weights=(1,)), smooth_claimed=True)
-    c1 = QuotientRing(PolyRing(("t",), GREVLEX, weights=(-1,)), smooth_claimed=True)
+    c0 = QuotientRing(PolyRing(("s",), GREVLEX, weights=(1,)))
+    c1 = QuotientRing(PolyRing(("t",), GREVLEX, weights=(-1,)))
     amb = PolyRing(("s", "si"), GREVLEX, weights=(1, -1))
-    o01 = QuotientRing(amb, [amb.parse("s*si - 1")], smooth_claimed=True)
+    o01 = QuotientRing(amb, [amb.parse("s*si - 1")])
     rings = {(0, 1): o01}
     inclusions = {
         ((0,), (0, 1)): make_inclusion(c0, o01, ["s"]),
@@ -222,11 +220,11 @@ def projective_line_three_charts() -> GluedScheme:
     third chart that produces genuine triple overlaps for cocycle tests."""
     base = projective_line()
     c0, c1 = base.charts
-    c2 = QuotientRing(PolyRing(("u",), GREVLEX, weights=(1,)), smooth_claimed=True)
+    c2 = QuotientRing(PolyRing(("u",), GREVLEX, weights=(1,)))
     o01 = base.ring((0, 1))
     # overlap of charts 1 and 2 in chart-1 coordinates
     amb12 = PolyRing(("t", "ti"), GREVLEX, weights=(-1, 1))
-    o12 = QuotientRing(amb12, [amb12.parse("t*ti - 1")], smooth_claimed=True)
+    o12 = QuotientRing(amb12, [amb12.parse("t*ti - 1")])
     rings = {(0, 1): o01, (0, 2): c0, (1, 2): o12, (0, 1, 2): o01}
     inclusions = dict(base.inclusions)
     inclusions.update({
@@ -257,25 +255,13 @@ def extend_scheme(X: GluedScheme, A: ArtinAlgebra) -> GluedScheme:
     charts = [ext(c) for c in X.charts]
     for key, ring in X.rings.items():
         ext_rings[tuple(sorted(key))] = ext(ring)
+    # the images are variables; A's variables go to themselves
     inclusions = {}
     for (a, b), inc in X.inclusions.items():
-        src, tgt = ext(inc.ring_map.source), ext(inc.ring_map.target)
-        nb_src = inc.ring_map.source.nvars
-        nb_tgt = inc.ring_map.target.nvars
-        images = tuple(tgt.from_base(p) for p in inc.ring_map.images) + \
-            tuple(tgt.var(nb_tgt + k) for k in range(src.nvars - nb_src))
-        rmap = RingMap(src, tgt, images)
-        rows = []
-        for r in inc.der_transport:
-            rows.append([tgt.from_base(c) for c in r] +
-                        [tgt.zero()] * (src.nvars - len(r)))
-        # Artin variables are fixed; their derivation components vanish
-        for i in range(inc.ring_map.target.nvars, tgt.nvars):
-            row = [tgt.zero()] * src.nvars
-            row[inc.ring_map.source.nvars + (i - inc.ring_map.target.nvars)] = tgt.one()
-            rows.append(row)
-        inclusions[(tuple(sorted(a)), tuple(sorted(b)))] = ChartInclusion(rmap, rows)
-    return GluedScheme(charts, ext_rings, inclusions, artin=A)
+        names = [str(p) for p in inc.ring_map.images] + list(A.variables)
+        inclusions[(tuple(sorted(a)), tuple(sorted(b)))] = make_inclusion(
+            ext(inc.ring_map.source), ext(inc.ring_map.target), names)
+    return GluedScheme(charts, ext_rings, inclusions)
 
 
 # ---------------------------------------------------------------------------
@@ -663,13 +649,16 @@ def cech_weight_complex(X: GluedScheme, F: LocallyFreeSheaf, w: int):
     return QComplex(dict(levels), maps), bases
 
 
+WEIGHT_MARGIN = 2
+
+
 def cech_cohomology(X: GluedScheme, F: LocallyFreeSheaf,
-                    weight_bounds: Optional[tuple] = None, margin: int = 2) -> dict:
+                    weight_bounds: Optional[tuple] = None) -> dict:
     """Cohomology dimensions per degree, summed over the weight window.
 
-    The window defaults to the generator-weight span; weights on a margin
-    strip around the window are verified to contribute nothing, which pins
-    the certificate for the shipped two-chart geometries.
+    The window defaults to the generator-weight span; weights on a
+    WEIGHT_MARGIN strip around the window are verified to contribute
+    nothing, which pins the certificate for the shipped two-chart geometries.
     """
     if weight_bounds is None:
         lo, hi = F.weight_span()
@@ -679,7 +668,7 @@ def cech_cohomology(X: GluedScheme, F: LocallyFreeSheaf,
     lo, hi = weight_bounds
     dims = {}
     by_weight = {}
-    for w in range(lo - margin, hi + margin + 1):
+    for w in range(lo - WEIGHT_MARGIN, hi + WEIGHT_MARGIN + 1):
         qc, _ = F.weight_complex(w)
         h = qc.cohomology()
         by_weight[w] = h

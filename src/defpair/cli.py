@@ -41,7 +41,9 @@ SCHEMA = "defpair/1"
 class ScriptError(ValueError):
     def __init__(self, message, line=None, col=None):
         self.line, self.col = line, col
-        where = f" at {line}:{col}" if line is not None else ""
+        where = ""
+        if line is not None:
+            where = f" at line {line}" if col is None else f" at {line}:{col}"
         super().__init__(f"{message}{where}")
 
 
@@ -464,8 +466,7 @@ def _ideal_payload(ideal) -> list:
 
 
 class Session:
-    def __init__(self, seed: int = 0, caps: Caps = DEFAULT_CAPS):
-        self.seed = seed
+    def __init__(self, caps: Caps = DEFAULT_CAPS):
         self.caps = caps
         self.objects = {}
         self._schemes = {}
@@ -690,9 +691,10 @@ def run(script: SessionScript, seed: int = 0, caps: Caps = DEFAULT_CAPS,
     declaration, in script order.
 
     Every library error subclasses ValueError; capacity limits raise
-    CapacityError.
+    CapacityError.  Execution is deterministic: `seed` only labels the run,
+    and `render_json` writes it into the document.
     """
-    session = Session(seed=seed, caps=caps)
+    session = Session(caps=caps)
     reports = []
     for item in script.items:
         if isinstance(item, Decl):

@@ -20,7 +20,7 @@ from . import matrices as mat
 from .cech import (CechError, GluedScheme, LocallyFreeSheaf, cech_cohomology,
                    extend_scheme, pair_sheaf, sheaf_hom, tangent_sheaf,
                    transition_law)
-from .dgla import (GradedMap, PairChain, PairComplexDGLA, QComplex, TraceData,
+from .dgla import (GradedMap, PairChain, PairComplexDGLA, TraceData,
                    pair_complex_dgla)
 from .mc import PairContext, gauge_act, log_of_exps, mc_check
 from .modules import FPModule, FreeComplex
@@ -473,11 +473,11 @@ def pair_tangent_spaces(X: GluedScheme, F: LocallyFreeSheaf,
             incl[p] = _unit_columns(len(bt[p]), [dpos[(tup, (mono, gen + 1))]
                                                  for tup, (mono, gen) in be[p]])
             proj[p] = list(zip(*_unit_columns(len(bt[p]), [dpos[lab] for lab in bth[p]])))
-        i_ranks = [linalg.rank(_induced_map(qe, qt, incl, p)) for p in range(max_p + 1)]
+        i_ranks = [linalg.rank(qe.induced_map(qt, incl[p], p)) for p in range(max_p + 1)]
         for p in range(max_p + 1):
             rt_, rth_ = qt.cohomology_dim(p), qth.cohomology_dim(p)
             r1 = i_ranks[p]
-            r2 = linalg.rank(_induced_map(qt, qth, proj, p))
+            r2 = linalg.rank(qt.induced_map(qth, proj[p], p))
             r3 = linalg.rank(_connecting_map(qe, qt, qth, incl, proj, p))
             if r1 + r2 != rt_:
                 exact = False
@@ -495,12 +495,6 @@ def _unit_columns(nrows, rows):
     for c, r in enumerate(rows):
         out[r][c] = Fraction(1)
     return out
-
-
-def _induced_map(src_qc: QComplex, tgt_qc: QComplex, mats: dict, p: int):
-    """Induced map on H^p along a chain map given by per-degree matrices."""
-    images = [linalg.mat_vec(mats[p], v) for v in src_qc.cohomology_basis(p)]
-    return tgt_qc.cohomology_coords(p, images)
 
 
 def _connecting_map(sub_qc, tot_qc, quot_qc, incl, proj, p):

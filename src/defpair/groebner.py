@@ -32,6 +32,12 @@ class Caps:
 
 
 DEFAULT_CAPS = Caps()
+QQ_DIMENSION_CAP = 10000
+
+
+def _check_dimension(dim: int):
+    if dim > QQ_DIMENSION_CAP:
+        raise CapacityError("capacity: quotient dimension exceeds the cap")
 
 
 def _check_degree(p: Polynomial, caps: Caps):
@@ -199,24 +205,24 @@ def groebner_basis(gens: list, order: Optional[MonomialOrder] = None,
     return [g for (g,) in _buchberger(gens, order, caps)]
 
 
-def poly_reduce(p: Polynomial, basis: list, order: Optional[MonomialOrder] = None,
-                leads: Optional[list] = None) -> Polynomial:
-    """Remainder of multivariate division of p by the list `basis`.
+def poly_reduce(p: Polynomial, basis: list, leads: Optional[list] = None) -> Polynomial:
+    """Remainder of multivariate division of p by the list `basis`, under the
+    order of p's ring.
 
     Against a Groebner basis this is the unique normal form.  `leads`, if
     given, are the cached POT leads `_lead((g,), order)` of the basis.
     """
     if not basis:
         return p
-    order = order or p.ring.order
+    order = p.ring.order
     vecs = [(g,) for g in basis]
     if leads is None:
         leads = [_lead(g, order) for g in vecs]
     return _reduce((p,), vecs, leads, order)[0]
 
 
-def ideal_contains(basis: list, p: Polynomial, order: Optional[MonomialOrder] = None) -> bool:
-    return poly_reduce(p, basis, order).is_zero()
+def ideal_contains(basis: list, p: Polynomial) -> bool:
+    return poly_reduce(p, basis).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -224,13 +230,13 @@ def ideal_contains(basis: list, p: Polynomial, order: Optional[MonomialOrder] = 
 # ---------------------------------------------------------------------------
 
 class ModuleBasis:
-    """Reduced Groebner basis of a submodule of ring^n under POT order."""
+    """Reduced Groebner basis of a submodule of ring^n under POT order, with
+    the ring's monomial order inside each position."""
 
-    def __init__(self, ring: PolyRing, n: int, gens: list,
-                 order: Optional[MonomialOrder] = None, caps: Caps = DEFAULT_CAPS):
+    def __init__(self, ring: PolyRing, n: int, gens: list, caps: Caps = DEFAULT_CAPS):
         self.ring = ring
         self.n = n
-        self.order = order or ring.order
+        self.order = ring.order
         vecs = []
         for g in gens:
             g = tuple(g)
@@ -272,7 +278,7 @@ def _tagged_generators(ring, columns, n, ideal_gens):
 
 
 def syzygies(ring: PolyRing, columns: list, ideal_gens: list = (),
-             order: Optional[MonomialOrder] = None, caps: Caps = DEFAULT_CAPS) -> list:
+             caps: Caps = DEFAULT_CAPS) -> list:
     """Generators of the syzygy module of `columns` in (R/I)^n.
 
     columns are vectors of equal length n over the ambient ring; ideal_gens
@@ -289,7 +295,7 @@ def syzygies(ring: PolyRing, columns: list, ideal_gens: list = (),
         zero, one = ring.zero(), ring.one()
         return [tuple(one if t == j else zero for t in range(k)) for j in range(k)]
     gens = _tagged_generators(ring, columns, n, ideal_gens)
-    mb = ModuleBasis(ring, n + k, gens, order=order, caps=caps)
+    mb = ModuleBasis(ring, n + k, gens, caps=caps)
     out = []
     for b in mb.basis:
         if vec_is_zero(b[:n]):
@@ -300,7 +306,7 @@ def syzygies(ring: PolyRing, columns: list, ideal_gens: list = (),
 
 
 def solve_many(ring: PolyRing, columns: list, targets, ideal_gens: list = (),
-               order: Optional[MonomialOrder] = None, caps: Caps = DEFAULT_CAPS) -> list:
+               caps: Caps = DEFAULT_CAPS) -> list:
     """Solve sum a_j*columns[j] = t modulo I for every target t: one solution
     tuple, or None when t is not in the image, per target.
 
@@ -316,7 +322,7 @@ def solve_many(ring: PolyRing, columns: list, targets, ideal_gens: list = (),
         # no equations: zero solves every (empty) target
         return [vec_zero(ring, k)] * len(targets)
     gens = _tagged_generators(ring, columns, n, ideal_gens)
-    mb = ModuleBasis(ring, n + k, gens, order=order, caps=caps)
+    mb = ModuleBasis(ring, n + k, gens, caps=caps)
     pad = vec_zero(ring, k)
     out = []
     for t in targets:
@@ -328,52 +334,52 @@ def solve_many(ring: PolyRing, columns: list, targets, ideal_gens: list = (),
 
 
 def solve_in_image(ring: PolyRing, columns: list, target, ideal_gens: list = (),
-                   order: Optional[MonomialOrder] = None, caps: Caps = DEFAULT_CAPS):
+                   caps: Caps = DEFAULT_CAPS):
     """Solve sum a_j*columns[j] = target modulo I; None when unsolvable."""
-    return solve_many(ring, columns, [target], ideal_gens, order, caps)[0]
+    return solve_many(ring, columns, [target], ideal_gens, caps)[0]
 
 
 def submodule_contains(ring: PolyRing, columns: list, v, ideal_gens: list = (),
-                       order: Optional[MonomialOrder] = None, caps: Caps = DEFAULT_CAPS) -> bool:
-    return solve_in_image(ring, columns, v, ideal_gens, order, caps) is not None
+                       caps: Caps = DEFAULT_CAPS) -> bool:
+    return solve_in_image(ring, columns, v, ideal_gens, caps) is not None
+
+
+def missing_pure_power(nvars: int, leads: list) -> Optional[int]:
+    """The first variable with no pure power among the monomials `leads`, or
+    None: then finitely many monomials escape every lead (none if one is 1)."""
+    if any(sum(m) == 0 for m in leads):
+        return None
+    pure = {i for m in leads for i, e in enumerate(m) if 0 < e == sum(m)}
+    return next((i for i in range(nvars) if i not in pure), None)
+
+
+def standard_monomials(nvars: int, leads: list) -> list:
+    """The monomials that no monomial of `leads` divides, in search order.
+    They must be finitely many (`missing_pure_power`); raises CapacityError
+    when there are more than QQ_DIMENSION_CAP."""
+    out = [] if any(sum(m) == 0 for m in leads) else [(0,) * nvars]
+    seen = set(out)
+    for m in out:  # out grows as the search finds monomials
+        _check_dimension(len(out))
+        for i in range(nvars):
+            child = m[:i] + (m[i] + 1,) + m[i + 1:]
+            if child not in seen:
+                seen.add(child)
+                if all(mono_div(child, lm) is None for lm in leads):
+                    out.append(child)
+    return out
 
 
 def quotient_qq_dimension(ring: PolyRing, n: int, columns: list,
                           ideal_gens: list = (),
-                          order: Optional[MonomialOrder] = None,
-                          caps: Caps = DEFAULT_CAPS,
-                          cap: int = 10000) -> Optional[int]:
+                          caps: Caps = DEFAULT_CAPS) -> Optional[int]:
     """dim over QQ of R^n/(columns) modulo I: counted as the number of
     standard module monomials; None when the dimension is infinite."""
     gens = list(columns) + ideal_rows(ring, ideal_gens, n, n)
-    mb = ModuleBasis(ring, n, gens, order=order, caps=caps)
-    leads = [(pos, m) for pos, m, _ in mb.leads]
-    # finite iff every position has a pure power of every variable among leads
-    by_pos = {}
-    for (pos, m) in leads:
-        by_pos.setdefault(pos, []).append(m)
-    for pos in range(n):
-        ms = by_pos.get(pos, [])
-        if any(sum(m) == 0 for m in ms):
-            continue  # a unit lead kills the whole position
-        for i in range(ring.nvars):
-            if not any(m[i] > 0 and all(e == 0 or j == i for j, e in enumerate(m))
-                       for m in ms):
-                return None
-    count = 0
-    seen = set()
-    queue = [(pos, (0,) * ring.nvars) for pos in range(n)]
-    seen.update(queue)
-    while queue:
-        pos, m = queue.pop()
-        if any(mono_div(m, lm) is not None for (lp, lm) in leads if lp == pos):
-            continue
-        count += 1
-        if count > cap:
-            raise CapacityError("capacity: quotient dimension exceeds the cap")
-        for i in range(ring.nvars):
-            child = tuple(e + (1 if j == i else 0) for j, e in enumerate(m))
-            if (pos, child) not in seen:
-                seen.add((pos, child))
-                queue.append((pos, child))
+    mb = ModuleBasis(ring, n, gens, caps=caps)
+    by_pos = [[m for pos, m, _ in mb.leads if pos == p] for p in range(n)]
+    if any(missing_pure_power(ring.nvars, ms) is not None for ms in by_pos):
+        return None
+    count = sum(len(standard_monomials(ring.nvars, ms)) for ms in by_pos)
+    _check_dimension(count)
     return count

@@ -6,7 +6,8 @@ Elements over an Artin algebra live in one of three concrete carriers, each
 wrapped in a small context that exposes add/scale/d/bracket/is_zero:
   * TableContext    - finite-dimensional table DGLA with A-valued coefficients,
   * HomContext      - endomorphism complex over an extended ring R (x) A,
-  * PairContext     - pair complex over an extended ring (degree 0 = pairs).
+  * PairContext     - pair complex: the HomContext of its Hom* plus pairs,
+                      which replace the graded maps of degree 0.
 """
 
 from __future__ import annotations
@@ -146,7 +147,7 @@ class HomContext:
         return self.H.add(x, y)
 
     def sub(self, x, y):
-        return self.H.add(x, self.H.neg(y))
+        return self.add(x, self.scale(-1, y))
 
     def scale(self, c, x):
         return self.H.scale(c, x)
@@ -189,47 +190,37 @@ class HomContext:
         return self.H.from_blocks(0, blocks)
 
 
-class PairContext:
-    """Pair complex over an extended ring: degree 0 elements are PairChains,
-    all other degrees graded R-linear maps."""
+class PairContext(HomContext):
+    """Pair complex over an extended ring: the Hom context on D.hom, with
+    degree-zero elements PairChains instead of graded maps."""
 
     def __init__(self, D: PairComplexDGLA):
+        super().__init__(D.hom)
         self.D = D
-        self.ring = D.ring
-        if not isinstance(self.ring, ExtendedRing):
-            raise MCError("Artin elements need a pair complex over an extended ring")
 
     def zero(self, degree):
-        if degree == 0:
-            return self.D.zero_pair()
-        return self.D.hom.zero(degree)
+        return self.D.zero_pair() if degree == 0 else super().zero(degree)
 
     def degree(self, x) -> int:
         return 0 if isinstance(x, PairChain) else x.degree
 
     def add(self, x, y):
-        if isinstance(x, PairChain) and isinstance(y, PairChain):
+        xp, yp = isinstance(x, PairChain), isinstance(y, PairChain)
+        if xp and yp:
             return self.D.add_pairs(x, y)
-        if isinstance(x, PairChain) or isinstance(y, PairChain):
+        if xp or yp:
             raise MCError("cannot add a pair to a plain graded map")
-        return self.D.hom.add(x, y)
-
-    def sub(self, x, y):
-        if isinstance(y, PairChain):
-            return self.add(x, self.D.neg_pair(y))
-        return self.D.hom.add(x, self.D.hom.neg(y))
+        return super().add(x, y)
 
     def scale(self, c, x):
         if isinstance(x, PairChain):
             # the anchor values scale as a one-row matrix
             (h,) = mat.mat_scale(self.ring, c, [x.h_values])
-            return PairChain(tuple(h), self.D.hom.scale(c, self.D.u_map(x)).blocks)
-        return self.D.hom.scale(c, x)
+            return PairChain(tuple(h), super().scale(c, self.D.u_map(x)).blocks)
+        return super().scale(c, x)
 
     def d(self, x):
-        if isinstance(x, PairChain):
-            return self.D.d_pair(x)
-        return self.D.hom.d(x)
+        return self.D.d_pair(x) if isinstance(x, PairChain) else super().d(x)
 
     def bracket(self, x, y):
         xp, yp = isinstance(x, PairChain), isinstance(y, PairChain)
@@ -238,20 +229,17 @@ class PairContext:
         if xp:
             return self.D.bracket_pair_hom(x, y)
         if yp:
-            return self.D.hom.neg(self.D.bracket_pair_hom(y, x))
-        return self.D.hom.bracket(x, y)
+            return self.H.neg(self.D.bracket_pair_hom(y, x))
+        return super().bracket(x, y)
 
     def is_zero(self, x) -> bool:
-        if isinstance(x, PairChain):
-            return self.D.is_zero_pair(x)
-        return self.D.hom.is_zero(x)
+        return self.D.is_zero_pair(x) if isinstance(x, PairChain) else super().is_zero(x)
 
     def in_max_ideal(self, x) -> bool:
         if isinstance(x, PairChain):
             return (all(self.ring.in_max_ideal(h) for h in x.h_values)
-                    and self.in_max_ideal(self.D.u_map(x)))
-        return all(self.ring.in_max_ideal(v) for _, m in x.blocks
-                   for row in m for v in row)
+                    and super().in_max_ideal(self.D.u_map(x)))
+        return super().in_max_ideal(x)
 
     # -- exponentials of degree-zero pairs ---------------------------------
     def exp_action(self, chain: PairChain) -> dict:
@@ -349,37 +337,27 @@ class DGLAMorphism:
     maps: dict  # degree -> matrix (target.dim x source.dim)
 
     def matrix(self, k):
-        if k in self.maps:
-            return self.maps[k]
-        return [[Fraction(0)] * self.source.dim(k)
-                for _ in range(self.target.dim(k))]
+        rows, cols = self.target.dim(k), self.source.dim(k)
+        m = self.maps.get(k, [[Fraction(0)] * cols for _ in range(rows)])
+        if len(m) != rows or any(len(r) != cols for r in m):
+            raise DGLAError(f"map at degree {k} is not {rows} x {cols}")
+        return m
 
     def check_chain_map(self) -> bool:
-        def entry(m, i, j):
-            return m[i][j] if i < len(m) and m and j < len(m[i]) else Fraction(0)
-
+        """d_target o f_k == f_{k+1} o d_source in every degree."""
         for k in set(self.source.dims) | set(self.target.dims):
-            rows = self.target.dim(k + 1)
-            cols = self.source.dim(k)
-            dt = self.target.qcomplex().matrix(k)
-            ds = self.source.qcomplex().matrix(k)
-            fk = self.matrix(k)
-            fk1 = self.matrix(k + 1)
-            for i in range(rows):
-                for j in range(cols):
-                    left = sum((entry(dt, i, t) * entry(fk, t, j)
-                                for t in range(self.target.dim(k))), Fraction(0))
-                    right = sum((entry(fk1, i, t) * entry(ds, t, j)
-                                 for t in range(self.source.dim(k + 1))), Fraction(0))
-                    if left != right:
-                        return False
+            zero = [[Fraction(0)] * self.source.dim(k)
+                    for _ in range(self.target.dim(k + 1))]
+            # mat_mul gives [] when a factor has no rows: the zero map
+            left = linalg.mat_mul(self.target.qcomplex().matrix(k), self.matrix(k))
+            right = linalg.mat_mul(self.matrix(k + 1), self.source.qcomplex().matrix(k))
+            if (left or zero) != (right or zero):
+                return False
         return True
 
     def induced_cohomology_map(self, k):
         """Matrix of H^k(source) -> H^k(target) in representative bases."""
-        images = [linalg.mat_vec(self.matrix(k), v)
-                  for v in self.source.qcomplex().cohomology_basis(k)]
-        return self.target.qcomplex().cohomology_coords(k, images)
+        return self.source.qcomplex().induced_map(self.target.qcomplex(), self.matrix(k), k)
 
 
 def functor_iso_criterion(phi: DGLAMorphism) -> dict:

@@ -41,7 +41,8 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from . import linalg
-from .groebner import Caps, DEFAULT_CAPS, _lead, groebner_basis, poly_reduce
+from .groebner import (Caps, DEFAULT_CAPS, _lead, groebner_basis, missing_pure_power,
+                       poly_reduce, standard_monomials)
 from .poly import GREVLEX, PolyRing, Polynomial, mono_div
 
 
@@ -50,13 +51,10 @@ class RingError(ValueError):
 
 
 class QuotientRing:
-    """QQ[x1..xn]/I with a cached reduced Groebner basis of I.
-
-    `smooth_claimed` is a user assertion recorded as-is, never verified.
-    """
+    """QQ[x1..xn]/I with a cached reduced Groebner basis of I."""
 
     def __init__(self, ambient: PolyRing, relations: Iterable[Polynomial] = (),
-                 smooth_claimed: bool = False, caps: Caps = DEFAULT_CAPS):
+                 caps: Caps = DEFAULT_CAPS):
         self.ambient = ambient
         self.relations = [p for p in relations if not p.is_zero()]
         for p in self.relations:
@@ -67,7 +65,6 @@ class QuotientRing:
             raise RingError("defining ideal contains a unit; quotient is the zero ring")
         # POT leads of the basis as 1-tuples, for poly_reduce
         self.leads = [_lead((g,), ambient.order) for g in self.gb]
-        self.smooth_claimed = smooth_claimed
         self.caps = caps
         self._vars = tuple(self.nf(ambient.var(i)) for i in range(ambient.nvars))
         # standard monomials of each torus weight, kept by cech.weight_monomials
@@ -83,7 +80,7 @@ class QuotientRing:
         return self.ambient.nvars
 
     def nf(self, p: Polynomial) -> Polynomial:
-        return poly_reduce(p, self.gb, self.ambient.order, self.leads) if self.gb else p
+        return poly_reduce(p, self.gb, leads=self.leads) if self.gb else p
 
     def zero(self):
         return self.ambient.zero()
@@ -163,7 +160,7 @@ class Ideal:
         return self._gb
 
     def normal_form(self, p: Polynomial) -> Polynomial:
-        return poly_reduce(p, self.groebner(), self.ring.ambient.order, self._leads)
+        return poly_reduce(p, self.groebner(), leads=self._leads)
 
     def contains(self, p: Polynomial) -> bool:
         return self.normal_form(p).is_zero()
@@ -267,35 +264,17 @@ class ArtinAlgebra(QuotientRing):
             super().__init__(ambient, relations, caps=caps)
         except RingError as e:
             raise ArtinError(f"not local with residue QQ: {e}") from e
-        self.basis = self._standard_monomials()
+        leads = [m for _, m, _ in self.leads]
+        i = missing_pure_power(self.nvars, leads)
+        if i is not None:
+            raise ArtinError(
+                f"not Artin: no power of {self.variables[i]} lies in the relations")
+        self.basis = sorted(standard_monomials(self.nvars, leads),
+                            key=lambda m: (sum(m), self.ambient.order.key(m)))
         self.dim = len(self.basis)
         self._basis_pos = {m: i for i, m in enumerate(self.basis)}
         self.m_basis = [m for m in self.basis if sum(m) > 0]
         self.index = self._nilpotency_index()
-
-    def _standard_monomials(self):
-        leads = [m for _, m, _ in self.leads]
-        n = self.nvars
-        for i in range(n):
-            if not any(all(e == 0 or j == i for j, e in enumerate(m)) and m[i] > 0
-                       for m in leads):
-                raise ArtinError(
-                    f"not Artin: no power of {self.variables[i]} lies in the relations")
-        seen = {(0,) * n}
-        queue = [(0,) * n]
-        out = []
-        while queue:
-            m = queue.pop()
-            out.append(m)
-            for i in range(n):
-                child = tuple(e + (1 if j == i else 0) for j, e in enumerate(m))
-                if child in seen:
-                    continue
-                seen.add(child)
-                if not any(mono_div(child, l) is not None for l in leads):
-                    queue.append(child)
-        out.sort(key=lambda m: (sum(m), self.ambient.order.key(m)))
-        return out
 
     def _nilpotency_index(self):
         # chain of ideal powers m >= m^2 >= ... computed as exact QQ-spans
@@ -355,8 +334,7 @@ class ExtendedRing(QuotientRing):
         ambient = PolyRing(base.variables + artin.variables, base.ambient.order)
         rels = ([self._pad_left(ambient, base.nvars, p, True) for p in base.relations]
                 + [self._pad_left(ambient, base.nvars, p, False) for p in artin.relations])
-        super().__init__(ambient, rels, smooth_claimed=base.smooth_claimed,
-                         caps=base.caps)
+        super().__init__(ambient, rels, caps=base.caps)
         self.base = base
         self.artin = artin
 

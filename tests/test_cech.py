@@ -238,3 +238,26 @@ def test_chart_inclusions_take_the_substitution_fast_path(name, data):
         fast = rmap(p)
     assert not reduced
     assert fast == tgt.nf(p.substitute(tgt.ambient, list(rmap.images)))
+
+
+def test_extended_inclusions_pad_the_base_inclusions(P1x3):
+    A = make_artin_algebra(["e"], ["e^2"])
+    XE = extend_scheme(P1x3, A)
+    assert XE.inclusions.keys() == P1x3.inclusions.keys()
+    for key, inc in P1x3.inclusions.items():
+        got = XE.inclusions[key]
+        src, tgt = got.ring_map.source, got.ring_map.target
+        assert src.base is inc.ring_map.source and tgt.base is inc.ring_map.target
+        # reference: the base images and transport rows padded into R (x) A,
+        # the Artin variables sent to themselves with unit transport rows
+        nb_src, nb_tgt = inc.ring_map.source.nvars, inc.ring_map.target.nvars
+        images = tuple(tgt.from_base(p) for p in inc.ring_map.images) + \
+            tuple(tgt.var(nb_tgt + k) for k in range(src.nvars - nb_src))
+        rows = [[tgt.from_base(c) for c in r] + [tgt.zero()] * (src.nvars - len(r))
+                for r in inc.der_transport]
+        for i in range(nb_tgt, tgt.nvars):
+            row = [tgt.zero()] * src.nvars
+            row[nb_src + (i - nb_tgt)] = tgt.one()
+            rows.append(row)
+        assert got.ring_map.images == images
+        assert got.der_transport == rows

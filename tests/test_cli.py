@@ -161,6 +161,13 @@ def test_commands_check_their_argument_count():
     assert messages[3].startswith("command 'mc-check' takes 3 arguments, got 4")
 
 
+def test_errors_without_a_column_name_the_line():
+    reports = run_script("cmd make-coffee now;\ncmd groebner;")
+    assert [r.payload["message"] for r in reports] == [
+        "unknown command 'make-coffee' at line 1",
+        "command 'groebner' takes 1 argument, got 0 at line 2"]
+
+
 def test_artin_info_and_errors():
     reports = run_script("artin A = QQ[s,t]/(s^2, s*t, t^3); cmd artin-info A;")
     assert reports[0].payload["dim"] == 4

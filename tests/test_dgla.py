@@ -55,6 +55,11 @@ def test_qcomplex_rejects_bad_differential():
         QComplex({0: 1, 1: 1, 2: 1}, {0: [[Fraction(1)]], 1: [[Fraction(1)]]})
 
 
+def test_table_dgla_builds_its_qcomplex_once():
+    L = abelian_dgla({0: 1, 1: 2, 2: 1}, {0: [[Fraction(1)], [Fraction(0)]]})
+    assert L.qcomplex() is L.qcomplex()
+
+
 def greedy_cohomology_basis(qc, k):
     """Reference: keep each kernel vector that leaves the span of the
     boundaries and the vectors kept so far, one rank test per vector."""

@@ -122,3 +122,13 @@ def test_quotient_dimension_helper():
     assert quotient_qq_dimension(amb, 1, [(x ** 3,)]) == 3
     assert quotient_qq_dimension(amb, 2, [(x, amb.zero()), (amb.zero(), x * x)]) == 3
     assert quotient_qq_dimension(amb, 1, []) is None  # free: infinite
+
+
+def test_quotient_dimension_unit_lead_empties_its_position():
+    amb = PolyRing(("x", "y"))
+    x, y = amb.gens()
+    one, zero = amb.one(), amb.zero()
+    # position 0 is killed by a unit, position 1 is QQ[x, y]/(x^2, y)
+    assert quotient_qq_dimension(amb, 2, [(one, x), (zero, x * x), (zero, y)]) == 2
+    # a unit lead does not make the other position finite
+    assert quotient_qq_dimension(amb, 2, [(one, zero), (zero, x)]) is None

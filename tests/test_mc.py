@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from defpair.dgla import (TableDGLA, abelian_dgla, hom_complex_dgla,
+from defpair.dgla import (DGLAError, TableDGLA, abelian_dgla, hom_complex_dgla,
                           pair_complex_dgla)
 from defpair.groebner import CapacityError
 from defpair.mc import (DGLAMorphism, HomContext, MCError, PairContext,
@@ -282,3 +282,20 @@ def test_functor_iso_quasi_iso_inclusion():
     assert out["isomorphism"]
     # consistency: when the criterion holds, tangent dimensions agree
     assert tangent_obstruction(source)[0] == tangent_obstruction(target)[0]
+
+
+def test_chain_map_check_across_an_empty_degree():
+    # degree 1 is empty, so the products through it have no rows
+    gap = abelian_dgla({0: 1, 2: 1})
+    ident = DGLAMorphism(gap, gap, {0: [[Fraction(1)]], 2: [[Fraction(1)]]})
+    assert ident.check_chain_map()
+    # d f_0 = 1 on the target, but f_1 d = 0 through the empty source degree
+    point = abelian_dgla({0: 1})
+    arrow = abelian_dgla({0: 1, 1: 1}, {0: [[Fraction(1)]]})
+    assert not DGLAMorphism(point, arrow, {0: [[Fraction(1)]]}).check_chain_map()
+
+
+def test_morphism_rejects_a_wrongly_shaped_map():
+    L = abelian_dgla({0: 1, 1: 2}, {0: [[Fraction(1)], [Fraction(0)]]})
+    with pytest.raises(DGLAError, match="map at degree 1 is not 2 x 2"):
+        functor_iso_criterion(DGLAMorphism(L, L, {1: [[Fraction(1)]]}))

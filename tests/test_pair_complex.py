@@ -241,6 +241,23 @@ def test_log_of_exps_inverts_exp():
     assert D.is_zero_pair(log_of_exps(ctx, [a, D.neg_pair(a)]))
 
 
+def test_exp_action_does_not_check_the_anchor_again(monkeypatch):
+    # pair_chain checked the anchor; the pair of each degree reuses it
+    R = QQr("x")
+    A = make_artin_algebra(["e"], ["e^3"])
+    E = extend_ring(R, A)
+    e, x = E.from_artin(A.var(0)), E.from_base(R.var(0))
+    D = pair_complex_dgla(E, FreeComplex.two_term(E, [[x * x]], lo=-1))
+    a = D.pair_chain((E.nf(e * x), E.zero()), {0: [[e]], -1: [[E.nf(e * x)]]})
+    calls = []
+    check = QuotientRing.derivation_well_defined
+    monkeypatch.setattr(QuotientRing, "derivation_well_defined",
+                        lambda ring, h: calls.append(h) or check(ring, h))
+    autos = PairContext(D).exp_action(a)
+    assert sorted(autos) == [-1, 0]
+    assert calls == []
+
+
 def test_split_sequence_builds_five_bases(monkeypatch):
     # surjectivity of beta and its section share one solve: the syzygies of
     # alpha and of beta, ker beta in im alpha, p surjective and the section
