@@ -37,8 +37,8 @@ from .cech import (CechError, GluedScheme, LocallyFreeSheaf, SheafCohomology,
                    extend_scheme, line_bundle, pair_sheaf, projective_line,
                    projective_line_three_charts, sheaf_hom, structure_sheaf,
                    tangent_sheaf, tensor_lines, weight_monomials)
-from .cocycles import (DeformationSpace, PairCocycleSpace, Semicosimplicial,
-                       SheafComplex, build_semicosimplicial, cech_trace,
+from .cocycles import (DeformationSpace, Semicosimplicial, SheafComplex,
+                       build_semicosimplicial, cech_trace,
                        deformation_from_cocycle, first_order_class_dims,
                        h1sc_equiv_check, locally_trivial_cocycle_check,
                        pair_tangent_spaces, resolution_complex,

@@ -2,6 +2,12 @@
 conditions, locally trivial deformations, pair tangent spaces and the trace
 of cocycles down to the determinant line.
 
+There is one cocycle space, `DeformationSpace`, over a complex of locally
+free sheaves.  A locally free sheaf F is its own length-zero complex
+(`resolution_complex`): its cocycles are degree-zero pair chains over
+`DeformationSpace(resolution_complex(X, F), A)`, and the locally trivial
+cocycle condition is `z1sc_check` with l = 0.
+
 All conditions are verified exactly over a fixed Artin coefficient algebra;
 no truncation is involved in the checks themselves.  Dimension counts
 (tangent spaces, first-order classification) go through the weight-graded
@@ -23,8 +29,7 @@ from .cech import (CechError, GluedScheme, LocallyFreeSheaf, cech_cohomology,
 from .dgla import (GradedMap, PairChain, PairComplexDGLA, TraceData,
                    pair_complex_dgla)
 from .mc import PairContext, gauge_act, log_of_exps, mc_check
-from .modules import FPModule, FreeComplex
-from .pairs import DerivationPair, check_derivation_pair, exp_pair, zero_pair
+from .modules import FreeComplex
 from .poly import Polynomial
 from .rings import ArtinAlgebra
 
@@ -190,6 +195,12 @@ class DeformationSpace:
     def ring(self, subset):
         return self.XE.ring(tuple(sorted(set(subset))))
 
+    def sheaf(self) -> LocallyFreeSheaf:
+        """F, when the complex is one locally free sheaf F in degree 0."""
+        if self.base.degrees != [0]:
+            raise CechError("expected one locally free sheaf in degree 0")
+        return self.base.sheaves[0]
+
     def pair_complex(self, subset) -> PairComplexDGLA:
         key = tuple(sorted(set(subset)))
         if key not in self._cplx:
@@ -324,89 +335,33 @@ def h1sc_equiv_check(space: DeformationSpace, lm0, lm1, a: dict, b: dict) -> dic
 
 
 # ---------------------------------------------------------------------------
-# locally trivial cocycles for a single sheaf
+# locally trivial cocycles
 # ---------------------------------------------------------------------------
 
-class PairCocycleSpace:
-    """Derivation-pair cocycle data for a locally free sheaf (no complex)."""
+def locally_trivial_cocycle_check(space: DeformationSpace, m: dict) -> dict:
+    """`z1sc_check` with l = 0: exp(m_jk) exp(-m_ik) exp(m_ij) = 1 on every
+    triple overlap (and, for a complex, each m_ij commutes with d).
 
-    def __init__(self, X: GluedScheme, F: LocallyFreeSheaf, A: ArtinAlgebra):
-        self.X = X
-        self.F = F
-        self.A = A
-        self.XE = extend_scheme(X, A)
-
-    def module(self, subset) -> FPModule:
-        return FPModule.free(self.XE.ring(tuple(sorted(set(subset)))), self.F.rank)
-
-    def pair(self, subset, h_values, u_matrix) -> DerivationPair:
-        ring = self.XE.ring(tuple(sorted(set(subset))))
-        M = self.module(subset)
-        u_values = tuple(tuple(u_matrix[a][i] for a in range(self.F.rank))
-                         for i in range(self.F.rank))
-        return check_derivation_pair(ring, M, h_values, u_values)
-
-    def restrict_pair(self, sub, sup, p: DerivationPair) -> DerivationPair:
-        supk = tuple(sorted(set(sup)))
-        h = self.XE.inclusion(frozenset(sub), frozenset(supk)).transport_derivation(
-            p.h_values)
-        r = self.F.rank
-        U = [[p.u_values[i][a] for i in range(r)] for a in range(r)]
-        return self.pair(supk, h,
-                         _restrict_block(self.XE, sub, supk, self.F, self.F, U, h))
-
-    def entry(self, x: dict, i, j) -> DerivationPair:
-        if i == j:
-            return zero_pair(self.XE.ring((i,)), self.module((i,)))
-        if (i, j) in x:
-            return x[(i, j)]
-        if (j, i) in x:
-            return x[(j, i)].neg()
-        raise CechError(f"no component for pair ({i},{j})")
-
-
-def locally_trivial_cocycle_check(space: PairCocycleSpace, x: dict) -> dict:
-    """exp(x_jk) exp(-x_ik) exp(x_ij) = 1 on every stored triple overlap.
-
-    On success returns the transition data (theta, psi) = exp(x_ij) per
-    pair, re-validated as automorphism pairs.
+    The report gains the first failing triple as `witness`; on success it
+    gains the transition data exp(m_ij) as `transitions`, one automorphism
+    pair per degree ({0: (theta, psi)} for a sheaf).
     """
-    report = {"triples": {}, "passed": True}
-    for tup in space.X.cocycle_triples():
-        i, j, k = tup
-        key = tuple(sorted(set(tup)))
-        pj_k = space.restrict_pair((j, k), key, space.entry(x, j, k))
-        pi_k = space.restrict_pair((i, k), key, space.entry(x, i, k))
-        pi_j = space.restrict_pair((i, j), key, space.entry(x, i, j))
-        composed = exp_pair(pj_k).compose(exp_pair(pi_k.neg())).compose(exp_pair(pi_j))
-        ok = composed.is_identity()
-        report["triples"][tup] = ok
-        if not ok:
-            report["passed"] = False
-            report.setdefault("witness", tup)
+    X = space.base.X
+    report = z1sc_check(space, {i: space.context((i,)).zero(1) for i in range(X.nchart)}, m)
+    failed = [tup for tup, ok in report["triple"].items() if not ok]
+    if failed:
+        report["witness"] = failed[0]
     if report["passed"]:
-        transitions = {}
-        for key, p in x.items():
-            auto = exp_pair(p)
-            # re-validate the module linearity law psi(t x) = theta(t) psi(x)
-            ring = auto.ring
-            M = auto.module
-            for v in range(ring.nvars):
-                t = ring.var(v)
-                for g in range(M.ngens):
-                    lhs = auto.apply_phi(M.scale(t, M.gen(g)))
-                    rhs = M.scale(auto.apply_theta(t), auto.apply_phi(M.gen(g)))
-                    if not M.eq(lhs, rhs):
-                        raise CechError("transition fails the linearity law")
-            transitions[key] = auto
-        report["transitions"] = transitions
+        report["transitions"] = {key: space.context(key).exp_action(p)
+                                 for key, p in m.items()}
     return report
 
 
-def deformation_from_cocycle(space: PairCocycleSpace, x: dict) -> dict:
-    """Transition data (theta_ij, psi_ij) = exp(x_ij) of a locally trivial
-    deformation; raises when the cocycle condition fails."""
-    rep = locally_trivial_cocycle_check(space, x)
+def deformation_from_cocycle(space: DeformationSpace, m: dict) -> dict:
+    """Transition data exp(m_ij), one automorphism pair (theta_ij, psi_ij)
+    per degree, of a locally trivial deformation; raises when the cocycle
+    condition fails."""
+    rep = locally_trivial_cocycle_check(space, m)
     if not rep["passed"]:
         raise CechError(f"cocycle condition fails at triple {rep.get('witness')}")
     return rep["transitions"]
@@ -431,13 +386,12 @@ def cech_trace(space: DeformationSpace, m: dict) -> dict:
 
 
 def traced_cocycle_as_pairs(space: DeformationSpace, traced: dict,
-                            det_space: PairCocycleSpace) -> dict:
-    """Repackage traced pairs as cocycle data for the determinant sheaf."""
-    out = {}
-    for key, p in traced.items():
-        out[key] = det_space.pair(tuple(sorted(key)), p.h_values,
-                                  [[p.u_values[0][0]]])
-    return out
+                            det_space: DeformationSpace) -> dict:
+    """Repackage traced pairs as degree-zero cocycle data on the space of the
+    determinant sheaf."""
+    det_space.sheaf()
+    return {key: det_space.pair_complex(key).pair_chain(p.h_values, {0: [[p.u_values[0][0]]]})
+            for key, p in traced.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -520,13 +474,14 @@ def first_order_class_dims(X: GluedScheme, F: LocallyFreeSheaf,
     return cech_cohomology(X, pair_sheaf(F), weight_bounds)["dims"]
 
 
-def section_to_pair(space: PairCocycleSpace, subset, coords_by_weight: dict,
-                    eps) -> DerivationPair:
-    """Build eps * (section of D(F)) as a derivation pair over the overlap.
+def section_to_pair(space: DeformationSpace, subset, coords_by_weight: dict,
+                    eps) -> PairChain:
+    """Build eps * (section of D(F)) as a degree-zero pair chain over the
+    overlap, for the space of a sheaf F.
 
     coords_by_weight: {weight: coordinate vector in the D(F) weight basis}.
     """
-    X, F = space.X, space.F
+    X, F = space.base.X, space.sheaf()
     key = tuple(sorted(set(subset)))
     ring = space.XE.ring(key)
     Dsheaf = pair_sheaf(F)
@@ -549,16 +504,17 @@ def section_to_pair(space: PairCocycleSpace, subset, coords_by_weight: dict,
             else:
                 a, b = divmod(gen - 1, r)
                 U[a][b] = ring.nf(U[a][b] + eps * monom)
-    return space.pair(key, tuple(h_total), U)
+    return space.pair_complex(key).pair_chain(tuple(h_total), {0: U})
 
 
-def solve_first_order_witness(space: PairCocycleSpace, x: dict) -> Optional[dict]:
-    """Chart sections {a_i} with x_ij = a_i - a_j at first order, or None.
+def solve_first_order_witness(space: DeformationSpace, x: dict) -> Optional[dict]:
+    """Chart pair chains {a_i} with x_ij = a_i - a_j at first order, or None,
+    for the space of a sheaf.
 
     Works weight by weight on the epsilon coefficient; the caller should
     re-verify via the exponential cocycle equivalence (exact by nilpotency).
     """
-    X, F, A = space.X, space.F, space.A
+    X, F, A = space.base.X, space.sheaf(), space.A
     if A.index != 2 or len(A.m_basis) != 1:
         raise CechError("first-order solving expects a dual-numbers algebra")
     Dsheaf = pair_sheaf(F)
@@ -598,7 +554,7 @@ def solve_first_order_witness(space: PairCocycleSpace, x: dict) -> Optional[dict
         for t, (tup, lab) in enumerate(bases[0]):
             if sol[t]:
                 a_coords[tup[0]].setdefault(w, {})[lab] = sol[t]
-    # rebuild chart sections as derivation pairs
+    # rebuild chart sections as pair chains
     out = {}
     for i in range(X.nchart):
         coords_by_weight = {}
@@ -611,10 +567,10 @@ def solve_first_order_witness(space: PairCocycleSpace, x: dict) -> Optional[dict
     return out
 
 
-def _pair_to_section(space: PairCocycleSpace, key, p: DerivationPair, eps_mono):
-    """Extract the epsilon coefficient of a first-order pair as a D(F)
+def _pair_to_section(space: DeformationSpace, key, p: PairChain, eps_mono):
+    """Extract the epsilon coefficient of a first-order pair chain as a D(F)
     section vector over the base overlap ring."""
-    X, F = space.X, space.F
+    X = space.base.X
     ring = space.XE.ring(key)
     base = X.ring(key)
     f = X.frame(key)
@@ -628,11 +584,9 @@ def _pair_to_section(space: PairCocycleSpace, key, p: DerivationPair, eps_mono):
     c_anchor = _eps_coefficient(ring, base, num, eps_mono)
     d_anchor = _eps_coefficient(ring, base, denom, (0,) * len(space.A.variables))
     theta_coord = _exact_divide(base, c_anchor, d_anchor)
-    r = F.rank
     sec = [theta_coord]
-    for a in range(r):
-        for b in range(r):
-            sec.append(_eps_coefficient(ring, base, p.u_values[b][a], eps_mono))
+    for row in p.block(0):
+        sec.extend(_eps_coefficient(ring, base, x, eps_mono) for x in row)
     return sec
 
 

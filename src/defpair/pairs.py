@@ -103,17 +103,22 @@ def pair_law(R: QuotientRing, h_values, u_values, vec) -> tuple:
     return tuple(out)
 
 
+def anchor_count(R: QuotientRing) -> int:
+    """The variables an anchor may move: over an extended ring R (x) A
+    anchors are A-linear, so only the base variables, which come first."""
+    return R.base.nvars if isinstance(R, ExtendedRing) else R.nvars
+
+
 def check_anchor(R: QuotientRing, h_values) -> tuple:
     """The anchor h in normal form; raises PairError unless h has one value
-    per ring variable, is A-linear over an extended ring (its A-block values
-    vanish) and kills the relations of R."""
+    per ring variable, is A-linear over an extended ring (its values past
+    `anchor_count` vanish) and kills the relations of R."""
     h_values = tuple(R.nf(p) for p in h_values)
     if len(h_values) != R.nvars:
         raise PairError("h needs one value per ring variable")
-    if isinstance(R, ExtendedRing):
-        for i in range(R.base.nvars, R.nvars):
-            if not h_values[i].is_zero():
-                raise PairError(f"not A-linear: h({R.variables[i]}) != 0")
+    for i in range(anchor_count(R), R.nvars):
+        if not h_values[i].is_zero():
+            raise PairError(f"not A-linear: h({R.variables[i]}) != 0")
     witness = R.derivation_well_defined(h_values)
     if witness is not None:
         raise PairError(f"not a derivation of R: h does not kill {witness}")
@@ -253,8 +258,9 @@ def _law_column(R: QuotientRing, M: FPModule, h_values, u_values) -> tuple:
 def _pair_system(R: QuotientRing, M: FPModule, anchors: bool = True) -> list:
     """Columns of the linear system whose kernel is D(R, M).
 
-    One column per unit pair -- the unit anchors h = e_i (left out when
-    `anchors` is false), then the matrix units u(e_b) = e_a, b-major --
+    One column per unit pair -- the unit anchors h = e_i for the first
+    `anchor_count` variables (left out when `anchors` is false), then the
+    matrix units u(e_b) = e_a, b-major --
     holding its `_law_column`.  Then come M's relations placed in each block
     of M's relations, since the law's values there are defined modulo them.
     """
@@ -262,7 +268,7 @@ def _pair_system(R: QuotientRing, M: FPModule, anchors: bool = True) -> list:
     zero, one = R.zero(), R.one()
     zero_u = ((zero,) * k,) * k
     units = [(tuple(one if j == i else zero for j in range(n)), zero_u)
-             for i in range(n)] if anchors else []
+             for i in range(anchor_count(R))] if anchors else []
     units += [((zero,) * n,
                tuple(tuple(one if (t, c) == (b, a) else zero for c in range(k))
                      for t in range(k)))
@@ -277,12 +283,12 @@ def _pair_system(R: QuotientRing, M: FPModule, anchors: bool = True) -> list:
 def _pair_kernel(R: QuotientRing, M: FPModule, anchors: bool = True) -> list:
     """The nonzero pairs read off the syzygies of the pair system: D(R, M),
     or Hom_R(M, M) without the anchors."""
-    n, k = (R.nvars if anchors else 0), M.ngens
+    n, k = (anchor_count(R) if anchors else 0), M.ngens
     zero_h = tuple(R.zero() for _ in range(R.nvars))
     out = []
     for s in syzygies(R.ambient, _pair_system(R, M, anchors), ideal_gens=R.gb,
                       caps=R.caps):
-        h = tuple(R.nf(p) for p in s[:n]) if anchors else zero_h
+        h = tuple(R.nf(p) for p in s[:n]) + zero_h[n:]
         u = tuple(M.nf(s[n + b * k:n + (b + 1) * k]) for b in range(k))
         pair = DerivationPair(R, M, h, u)
         if not pair.is_zero():

@@ -13,7 +13,7 @@ import pytest
 from defpair.cech import (line_bundle, pair_sheaf, projective_line,
                           structure_sheaf, tangent_sheaf, det_of_complex,
                           cech_cohomology)
-from defpair.cocycles import (DeformationSpace, PairCocycleSpace, SheafComplex,
+from defpair.cocycles import (DeformationSpace, SheafComplex,
                               cech_trace, first_order_class_dims,
                               locally_trivial_cocycle_check,
                               pair_tangent_spaces, resolution_complex,
@@ -282,7 +282,7 @@ def test_acceptance_09_first_order_bridge(P1):
         dims = first_order_class_dims(P1, F)
         assert dims.get(1, 0) == 0, f"H^1(D(O({k})))"
         # every sampled first-order cocycle acquires a solved witness
-        space = PairCocycleSpace(P1, F, A)
+        space = DeformationSpace(resolution_complex(P1, F), A)
         ring = space.XE.ring((0, 1))
         eps = ring.from_artin(A.var(0))
         Dsheaf = pair_sheaf(F)
@@ -296,9 +296,11 @@ def test_acceptance_09_first_order_bridge(P1):
         assert locally_trivial_cocycle_check(space, x)["passed"]
         witness = solve_first_order_witness(space, x)
         assert witness is not None, f"witness for k={k}"
-        ai = space.restrict_pair((0,), (0, 1), witness[0])
-        aj = space.restrict_pair((1,), (0, 1), witness[1])
-        composed = exp_pair(ai.neg()).compose(exp_pair(x01)).compose(exp_pair(aj))
+        D01 = space.pair_complex((0, 1))
+        ai = D01.degree_pair(space.restrict_chain((0,), (0, 1), witness[0]), 0)
+        aj = D01.degree_pair(space.restrict_chain((1,), (0, 1), witness[1]), 0)
+        composed = exp_pair(ai.neg()).compose(
+            exp_pair(D01.degree_pair(x01, 0))).compose(exp_pair(aj))
         assert composed.is_identity(), f"exact equivalence for k={k}"
     _report(9, "first-order classes vanish for (P1, O(k)) and witnesses solve "
                "exactly", started, 60)
@@ -323,7 +325,7 @@ def test_acceptance_10_cech_trace(P1):
         p = traced[(0, 1)]
         assert p.h_values == m[(0, 1)].h_values  # anchors verbatim
         assert p.u_values[0][0] == ring.nf(eps * (1 + s))
-        det_space = PairCocycleSpace(P1, det_of_complex({0: F}), A)
+        det_space = DeformationSpace(resolution_complex(P1, det_of_complex({0: F})), A)
         x = traced_cocycle_as_pairs(space, traced, det_space)
         assert locally_trivial_cocycle_check(det_space, x)["passed"]
         checked += 1
@@ -342,7 +344,7 @@ def test_acceptance_10_cech_trace(P1):
     p = traced[(0, 1)]
     assert p.h_values == hv
     assert p.u_values[0][0] == ring.nf(eps * s - 2 * eps)
-    det_space = PairCocycleSpace(P1, det_of_complex(sheaves), A)
+    det_space = DeformationSpace(resolution_complex(P1, det_of_complex(sheaves)), A)
     x = traced_cocycle_as_pairs(space, traced, det_space)
     assert locally_trivial_cocycle_check(det_space, x)["passed"]
     checked += 1

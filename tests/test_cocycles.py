@@ -1,14 +1,19 @@
 """Cech-level deformation cocycles, tangent spaces and traces."""
 
-import pytest
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from defpair import cech, matrices
 from defpair.cech import (CechError, LocallyFreeSheaf, line_bundle, pair_sheaf,
                           projective_line,
                           projective_line_three_charts, sheaf_hom,
                           structure_sheaf, tangent_sheaf, det_of_complex)
-from defpair.cocycles import (DeformationSpace, PairCocycleSpace, SheafComplex,
+from defpair.cocycles import (DeformationSpace, SheafComplex,
                               build_semicosimplicial, cech_trace,
                               first_order_class_dims,
                               locally_trivial_cocycle_check,
@@ -16,6 +21,7 @@ from defpair.cocycles import (DeformationSpace, PairCocycleSpace, SheafComplex,
                               section_to_pair, solve_first_order_witness,
                               traced_cocycle_as_pairs, z1sc_check,
                               h1sc_equiv_check)
+from defpair.mc import bch
 from defpair.pairs import exp_pair
 from defpair.rings import make_artin_algebra
 
@@ -96,18 +102,19 @@ def test_z1sc_zero_passes(P1, eps2):
 
 def test_z1sc_first_order_is_additive_cocycle(P1x3, eps2):
     # with l = 0, the triple condition linearises to the additive identity
-    # m_jk - m_ik + m_ij = 0; a coboundary m_ij = a_i| - a_j| satisfies it
+    # m_jk - m_ik + m_ij = 0; a coboundary m_ij = a_i| - a_j| satisfies it,
+    # and locally_trivial_cocycle_check (z1sc_check with l = 0) agrees
     SC = resolution_complex(P1x3, line_bundle(P1x3, 1))
     space = DeformationSpace(SC, eps2)
     XE = space.XE
-    e = {}
     a = {}
     for i in range(3):
         ring = XE.ring((i,))
         eps = ring.from_artin(eps2.var(0))
-        # chart pair (h = eps * s d/ds pattern, u = eps * id)
+        # chart pair (h = eps * s d/ds pattern, u = eps * id, 2 eps on chart 1)
         hv = [ring.nf(eps * ring.var(0))] + [ring.zero()] * (ring.nvars - 1)
-        a[i] = space.pair_complex((i,)).pair_chain(tuple(hv), {0: [[eps]]})
+        u = eps if i != 1 else ring.nf(2 * eps)
+        a[i] = space.pair_complex((i,)).pair_chain(tuple(hv), {0: [[u]]})
     l = {i: space.context((i,)).zero(1) for i in range(3)}
     m = {}
     for S in P1x3.subsets(2):
@@ -118,6 +125,7 @@ def test_z1sc_first_order_is_additive_cocycle(P1x3, eps2):
         m[(i, j)] = D.add_pairs(ai, D.neg_pair(aj))
     rep = z1sc_check(space, l, m)
     assert rep["passed"]
+    assert locally_trivial_cocycle_check(space, m)["passed"]
     # corrupt one component: the triple condition must fail
     D01 = space.pair_complex((0, 1))
     ring01 = XE.ring((0, 1))
@@ -129,6 +137,9 @@ def test_z1sc_first_order_is_additive_cocycle(P1x3, eps2):
     rep_bad = z1sc_check(space, l, bad)
     assert not rep_bad["passed"]
     assert not all(rep_bad["triple"].values())
+    rep_bad = locally_trivial_cocycle_check(space, bad)
+    assert not rep_bad["passed"]
+    assert rep_bad["witness"] == (0, 1, 2)
 
 
 def test_h1sc_self_equivalent(P1, eps2):
@@ -164,44 +175,12 @@ def test_h1sc_abelian_coboundary(P1, eps2):
 # -- locally trivial cocycles ---------------------------------------------------------
 
 def test_trivial_cocycle(P1, eps2):
-    F = line_bundle(P1, 2)
-    space = PairCocycleSpace(P1, F, eps2)
-    ring = space.XE.ring((0, 1))
-    x = {(0, 1): space.pair((0, 1), tuple([ring.zero()] * ring.nvars),
-                            [[ring.zero()]])}
+    space = DeformationSpace(resolution_complex(P1, line_bundle(P1, 2)), eps2)
+    x = {(0, 1): space.pair_complex((0, 1)).zero_pair()}
     rep = locally_trivial_cocycle_check(space, x)
     assert rep["passed"]
-    auto = rep["transitions"][(0, 1)]
+    auto = rep["transitions"][(0, 1)][0]
     assert auto.is_identity()
-
-
-def test_cocycle_three_charts_coboundary(P1x3, eps2):
-    # x_ij = a_i| - a_j| passes the genuine triple condition
-    F = line_bundle(P1x3, 1)
-    space = PairCocycleSpace(P1x3, F, eps2)
-    a = {}
-    for i in range(3):
-        ring = space.XE.ring((i,))
-        eps = ring.from_artin(eps2.var(0))
-        hv = [ring.nf(eps * ring.var(0))] + [ring.zero()] * (ring.nvars - 1)
-        a[i] = space.pair((i,), tuple(hv), [[eps if i != 1 else ring.nf(2 * eps)]])
-    x = {}
-    for S in P1x3.subsets(2):
-        i, j = sorted(S)
-        pi = space.restrict_pair((i,), (i, j), a[i])
-        pj = space.restrict_pair((j,), (i, j), a[j])
-        x[(i, j)] = pi.sub(pj)
-    rep = locally_trivial_cocycle_check(space, x)
-    assert rep["passed"]
-    # breaking one component breaks a triple
-    ring01 = space.XE.ring((0, 1))
-    eps01 = ring01.from_artin(eps2.var(0))
-    bad = dict(x)
-    bad[(0, 1)] = x[(0, 1)].add(space.pair(
-        (0, 1), tuple([ring01.zero()] * ring01.nvars), [[eps01]]))
-    rep_bad = locally_trivial_cocycle_check(space, bad)
-    assert not rep_bad["passed"]
-    assert rep_bad["witness"] == (0, 1, 2)
 
 
 def test_first_order_witness_solving(P1, eps2):
@@ -209,11 +188,10 @@ def test_first_order_witness_solving(P1, eps2):
     # verify by the exact exponential equivalence
     for k in (-2, 0, 1):
         F = line_bundle(P1, k)
-        space = PairCocycleSpace(P1, F, eps2)
+        space = DeformationSpace(resolution_complex(P1, F), eps2)
         dims = first_order_class_dims(P1, F)
         assert dims.get(1, 0) == 0
         ring = space.XE.ring((0, 1))
-        base = P1.ring((0, 1))
         Dsheaf = pair_sheaf(F)
         eps = ring.from_artin(eps2.var(0))
         # sample cocycle: a weight-0 and a weight-(-1) section of D(O(k))
@@ -227,10 +205,112 @@ def test_first_order_witness_solving(P1, eps2):
         witness = solve_first_order_witness(space, x)
         assert witness is not None
         # exact verification: exp(-a_i) exp(x_ij) exp(a_j) == identity
-        ai = space.restrict_pair((0,), (0, 1), witness[0])
-        aj = space.restrict_pair((1,), (0, 1), witness[1])
-        composed = exp_pair(ai.neg()).compose(exp_pair(x01)).compose(exp_pair(aj))
+        D01 = space.pair_complex((0, 1))
+        ai = D01.degree_pair(space.restrict_chain((0,), (0, 1), witness[0]), 0)
+        aj = D01.degree_pair(space.restrict_chain((1,), (0, 1), witness[1]), 0)
+        composed = exp_pair(ai.neg()).compose(
+            exp_pair(D01.degree_pair(x01, 0))).compose(exp_pair(aj))
         assert composed.is_identity()
+
+
+def test_sheaf_cocycle_helpers_refuse_a_complex(P1, eps2):
+    # section_to_pair and the first-order solver read one sheaf in degree 0
+    sheaves = {-1: line_bundle(P1, -1), 0: line_bundle(P1, 1)}
+    space = DeformationSpace(SheafComplex(P1, sheaves), eps2)
+    ring = space.XE.ring((0, 1))
+    eps = ring.from_artin(eps2.var(0))
+    with pytest.raises(CechError, match="one locally free sheaf"):
+        section_to_pair(space, (0, 1), {}, eps)
+    with pytest.raises(CechError, match="one locally free sheaf"):
+        solve_first_order_witness(space, {(0, 1): space.pair_complex((0, 1)).zero_pair()})
+    with pytest.raises(CechError, match="one locally free sheaf"):
+        traced_cocycle_as_pairs(space, {}, space)
+
+
+SCHEMES = {"P1": projective_line(), "P1x3": projective_line_three_charts()}
+
+
+@lru_cache(maxsize=None)
+def sheaf_space(scheme, k, order):
+    """The cocycle space of (X, O(k)) over QQ[e]/(e^order)."""
+    X = SCHEMES[scheme]
+    A = make_artin_algebra(["e"], [f"e^{order}"])
+    return DeformationSpace(resolution_complex(X, line_bundle(X, k)), A)
+
+
+def draw_eps_poly(data, ring, order, min_size=0):
+    """A small polynomial in the first base variable and e, divisible by e;
+    nonzero when min_size > 0."""
+    nb = ring.base.nvars
+    monos = st.tuples(st.integers(0, 1), st.integers(1, order - 1))
+    terms = data.draw(st.dictionaries(monos, st.sampled_from([-2, -1, 1, 2]),
+                                      min_size=min_size, max_size=2))
+    return ring.nf(sum((ring.ambient.monomial((a,) + (0,) * (nb - 1) + (b,), c)
+                        for (a, b), c in terms.items()), ring.zero()))
+
+
+def reference_triple_check(space, m):
+    """(passed, first failing triple) by the product exp(m_jk) exp(-m_ik)
+    exp(m_ij) of `exp_pair` on degree_pair(., 0), over the proper triples
+    and then those with a repeated index, each with a ring; m_ab is m[(a, b)]
+    when stored, else minus m[(b, a)], and m_aa = 0."""
+    X = space.base.X
+    every = sorted(product(range(X.nchart), repeat=3))
+    triples = [t for t in every if t[0] < t[1] < t[2]] + [t for t in every if len(set(t)) < 3]
+    for t in triples:
+        if frozenset(t) not in X.rings:
+            continue
+        i, j, k = t
+        key = tuple(sorted(set(t)))
+        D = space.pair_complex(key)
+        auto = None
+        for (a, b), sign in (((j, k), 1), ((i, k), -1), ((i, j), 1)):
+            if a == b:
+                continue
+            if (a, b) not in m:
+                (a, b), sign = (b, a), -sign
+            p = D.degree_pair(space.restrict_chain((a, b), key, m[(a, b)]), 0)
+            e = exp_pair(p if sign > 0 else p.neg())
+            auto = e if auto is None else auto.compose(e)
+        if auto is not None and not auto.is_identity():
+            return False, t
+    return True, None
+
+
+@pytest.mark.parametrize("perturb", ["none", "add", "reverse"])
+@given(data=st.data())
+@settings(max_examples=3, deadline=None, derandomize=True)
+def test_locally_trivial_check_agrees_with_exp_product(perturb, data):
+    # coboundary data m_ij = log(exp a_i exp -a_j) passes; a perturbed
+    # component, or a reversed entry that is not minus the stored one,
+    # fails at the first triple where the exponential product is not 1
+    scheme = data.draw(st.sampled_from(sorted(SCHEMES)))
+    order = data.draw(st.sampled_from([2, 3]))
+    space = sheaf_space(scheme, data.draw(st.integers(-2, 2)), order)
+    X = space.base.X
+    a = {}
+    for i in range(X.nchart):
+        ring = space.ring((i,))
+        h = (draw_eps_poly(data, ring, order),) + (ring.zero(),) * (ring.nvars - 1)
+        a[i] = space.pair_complex((i,)).pair_chain(h, {0: [[draw_eps_poly(data, ring, order)]]})
+    m = {}
+    for S in X.subsets(2):
+        i, j = sorted(S)
+        D = space.pair_complex((i, j))
+        m[(i, j)] = bch(space.context((i, j)), space.restrict_chain((i,), (i, j), a[i]),
+                        D.neg_pair(space.restrict_chain((j,), (i, j), a[j])))
+    if perturb != "none":
+        i, j = data.draw(st.sampled_from(sorted(m)))
+        D, ring = space.pair_complex((i, j)), space.ring((i, j))
+        extra = D.pair_chain(D.zero_pair().h_values, {0: [[draw_eps_poly(data, ring, order, 1)]]})
+        if perturb == "add":
+            m[(i, j)] = D.add_pairs(m[(i, j)], extra)
+        else:
+            m[(j, i)] = D.add_pairs(D.neg_pair(m[(i, j)]), extra)
+    rep = locally_trivial_cocycle_check(space, m)
+    passed, witness = reference_triple_check(space, m)
+    assert rep["passed"] == passed
+    assert rep.get("witness") == witness
 
 
 # -- tangent spaces --------------------------------------------------------------------
@@ -292,8 +372,7 @@ def test_cech_trace_two_term_alternating(P1, eps2):
     assert p.h_values == hv
     assert p.u_values[0][0] == ring.nf(3 * eps - eps)
     # the traced cocycle passes the determinant-level cocycle check
-    det_sheaf = det_of_complex(sheaves)
-    det_space = PairCocycleSpace(P1, det_sheaf, eps2)
+    det_space = DeformationSpace(resolution_complex(P1, det_of_complex(sheaves)), eps2)
     x = traced_cocycle_as_pairs(space, traced, det_space)
     rep = locally_trivial_cocycle_check(det_space, x)
     assert rep["passed"]
@@ -304,12 +383,10 @@ def test_cech_trace_two_term_alternating(P1, eps2):
 def test_non_unit_transition_is_refused(P1, eps2):
     ring = P1.ring((0, 1))
     F = LocallyFreeSheaf(P1, 1, {0: (0,), 1: (0,)}, {(0, 1): [[ring.parse("s + 1")]]})
-    space = PairCocycleSpace(P1, F, eps2)
-    chart = space.XE.ring((1,))
-    p = space.pair((1,), tuple(chart.zero() for _ in range(chart.nvars)),
-                   [[chart.zero()]])
+    space = DeformationSpace(resolution_complex(P1, F), eps2)
+    p = space.pair_complex((1,)).zero_pair()
     with pytest.raises(CechError, match="not invertible"):
-        space.restrict_pair((1,), (0, 1), p)
+        space.restrict_chain((1,), (0, 1), p)
 
 
 def test_each_stored_transition_is_inverted_once(P1x3, eps2, monkeypatch):

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 from defpair.cech import (SheafCohomology, line_bundle, pair_sheaf,
                           projective_line)
-from defpair.cocycles import PairCocycleSpace, deformation_from_cocycle
+from defpair.cocycles import (DeformationSpace, deformation_from_cocycle,
+                              resolution_complex)
 from defpair.dgla import pair_complex_dgla
 from defpair.groebner import quotient_qq_dimension
 from defpair.mc import tangent_obstruction
@@ -43,14 +44,14 @@ def test_deformation_from_cocycle_round_trip():
     P1 = projective_line()
     A = make_artin_algebra(["e"], ["e^2"])
     F = line_bundle(P1, 1)
-    space = PairCocycleSpace(P1, F, A)
+    space = DeformationSpace(resolution_complex(P1, F), A)
     ring = space.XE.ring((0, 1))
     eps = ring.from_artin(A.var(0))
     s, si = ring.var(0), ring.var(1)
-    x = {(0, 1): space.pair((0, 1), (ring.nf(eps * s), ring.nf(-eps * si),
-                                     ring.zero()), [[eps]])}
+    x = {(0, 1): space.pair_complex((0, 1)).pair_chain(
+        (ring.nf(eps * s), ring.nf(-eps * si), ring.zero()), {0: [[eps]]})}
     transitions = deformation_from_cocycle(space, x)
-    auto = transitions[(0, 1)]
+    auto = transitions[(0, 1)][0]
     # theta moves s at first order, psi moves the generator
     assert auto.apply_theta(s) == ring.nf(s + eps * s)
     assert auto.phi_values[0] == (ring.nf(1 + eps),)

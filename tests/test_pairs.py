@@ -189,8 +189,9 @@ def outcome(f, *args):
 
 def pair_module_canon(M):
     """D(R, M), Hom(M, M), Der(R) and anchor lifts of d/dx, x d/dx and every
-    Der(R) generator.  Over R (x) A, D(R, M) and the lifts of anchors moving
-    the Artin variable raise PairError; the message is recorded."""
+    Der(R) generator.  Over R (x) A every system is A-linear: its anchors
+    move only the base variables.  A PairError would be recorded as its
+    message."""
     R = M.ring
     D = outcome(derivation_pair_module, R, M)
     der = derivation_module(R)
