@@ -100,46 +100,49 @@ def test_z1sc_zero_passes(P1, eps2):
     assert rep["passed"]
 
 
-def test_z1sc_first_order_is_additive_cocycle(P1x3, eps2):
-    # with l = 0, the triple condition linearises to the additive identity
-    # m_jk - m_ik + m_ij = 0; a coboundary m_ij = a_i| - a_j| satisfies it,
-    # and locally_trivial_cocycle_check (z1sc_check with l = 0) agrees
-    SC = resolution_complex(P1x3, line_bundle(P1x3, 1))
-    space = DeformationSpace(SC, eps2)
-    XE = space.XE
+def coboundary_cocycle(space, X, scale):
+    """m_ij = a_i| - a_j| for chart pairs a_i = (eps * s d/ds, scale[i] * eps)."""
     a = {}
     for i in range(3):
-        ring = XE.ring((i,))
-        eps = ring.from_artin(eps2.var(0))
-        # chart pair (h = eps * s d/ds pattern, u = eps * id, 2 eps on chart 1)
+        ring = space.XE.ring((i,))
+        eps = ring.from_artin(space.A.var(0))
         hv = [ring.nf(eps * ring.var(0))] + [ring.zero()] * (ring.nvars - 1)
-        u = eps if i != 1 else ring.nf(2 * eps)
-        a[i] = space.pair_complex((i,)).pair_chain(tuple(hv), {0: [[u]]})
-    l = {i: space.context((i,)).zero(1) for i in range(3)}
+        a[i] = space.pair_complex((i,)).pair_chain(
+            tuple(hv), {0: [[ring.nf(scale[i] * eps)]]})
     m = {}
-    for S in P1x3.subsets(2):
+    for S in X.subsets(2):
         i, j = sorted(S)
         D = space.pair_complex((i, j))
         ai = space.restrict_chain((i,), (i, j), a[i])
         aj = space.restrict_chain((j,), (i, j), a[j])
         m[(i, j)] = D.add_pairs(ai, D.neg_pair(aj))
-    rep = z1sc_check(space, l, m)
-    assert rep["passed"]
-    assert locally_trivial_cocycle_check(space, m)["passed"]
-    # corrupt one component: the triple condition must fail
+    return m
+
+
+def break_01(space, m):
+    """m with eps * id added to its (0, 1) component."""
     D01 = space.pair_complex((0, 1))
-    ring01 = XE.ring((0, 1))
-    eps01 = ring01.from_artin(eps2.var(0))
+    ring01 = space.XE.ring((0, 1))
+    eps01 = ring01.from_artin(space.A.var(0))
     bad = dict(m)
     bad[(0, 1)] = D01.add_pairs(m[(0, 1)],
                                 D01.pair_chain(tuple([ring01.zero()] * ring01.nvars),
                                                {0: [[eps01]]}))
-    rep_bad = z1sc_check(space, l, bad)
+    return bad
+
+
+def test_z1sc_first_order_is_additive_cocycle(P1x3, eps2):
+    # with l = 0, the triple condition linearises to the additive identity
+    # m_jk - m_ik + m_ij = 0; a coboundary m_ij = a_i| - a_j| satisfies it
+    space = DeformationSpace(resolution_complex(P1x3, line_bundle(P1x3, 1)), eps2)
+    l = {i: space.context((i,)).zero(1) for i in range(3)}
+    m = coboundary_cocycle(space, P1x3, (1, 1, 1))
+    rep = z1sc_check(space, l, m)
+    assert rep["passed"]
+    # corrupt one component: the triple condition must fail
+    rep_bad = z1sc_check(space, l, break_01(space, m))
     assert not rep_bad["passed"]
     assert not all(rep_bad["triple"].values())
-    rep_bad = locally_trivial_cocycle_check(space, bad)
-    assert not rep_bad["passed"]
-    assert rep_bad["witness"] == (0, 1, 2)
 
 
 def test_h1sc_self_equivalent(P1, eps2):
@@ -181,6 +184,18 @@ def test_trivial_cocycle(P1, eps2):
     assert rep["passed"]
     auto = rep["transitions"][(0, 1)][0]
     assert auto.is_identity()
+
+
+def test_cocycle_three_charts_coboundary(P1x3, eps2):
+    # x_ij = a_i| - a_j| passes the genuine triple condition
+    space = DeformationSpace(resolution_complex(P1x3, line_bundle(P1x3, 1)), eps2)
+    x = coboundary_cocycle(space, P1x3, (1, 2, 1))
+    rep = locally_trivial_cocycle_check(space, x)
+    assert rep["passed"]
+    # breaking one component breaks a triple
+    rep_bad = locally_trivial_cocycle_check(space, break_01(space, x))
+    assert not rep_bad["passed"]
+    assert rep_bad["witness"] == (0, 1, 2)
 
 
 def test_first_order_witness_solving(P1, eps2):
