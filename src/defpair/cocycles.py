@@ -280,10 +280,15 @@ def z1sc_check(space: DeformationSpace, l: dict, m: dict,
         key = tuple(sorted(set(tup)))
         D = space.pair_complex(key)
         ctx = space.context(key)
-        mjk = space.restrict_chain((j, k), key, space.pair_entry(m, j, k))
-        mik = space.restrict_chain((i, k), key, space.pair_entry(m, i, k))
-        mij = space.restrict_chain((i, j), key, space.pair_entry(m, i, j))
-        lhs = log_of_exps(ctx, [mjk, D.neg_pair(mik), mij])
+
+        def on_key(a, b):
+            """m_ab on the triple overlap, moved only when that is larger."""
+            if a == b:
+                return D.zero_pair()
+            chain = space.pair_entry(m, a, b)
+            return chain if len(key) == 2 else space.restrict_chain((a, b), key, chain)
+
+        lhs = log_of_exps(ctx, [on_key(j, k), D.neg_pair(on_key(i, k)), on_key(i, j)])
         witness = n.get(tup, None)
         if witness is None:
             rhs_hom = D.hom.zero(0)
@@ -385,8 +390,7 @@ def cech_trace(space: DeformationSpace, m: dict) -> dict:
     return out
 
 
-def traced_cocycle_as_pairs(space: DeformationSpace, traced: dict,
-                            det_space: DeformationSpace) -> dict:
+def traced_cocycle_as_pairs(traced: dict, det_space: DeformationSpace) -> dict:
     """Repackage traced pairs as degree-zero cocycle data on the space of the
     determinant sheaf."""
     det_space.sheaf()

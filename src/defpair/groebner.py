@@ -5,7 +5,10 @@ earlier positions dominate, which is what makes the elimination-based syzygy
 and kernel computations below correct.  An ideal is the rank-1 case, its
 polynomials wrapped as 1-tuples.  Membership certificates and particular
 solutions come from tagged generators (`syzygies`, `solve_many`): one basis
-per linear system, then one normal form per right-hand side.
+per linear system, then one normal form per right-hand side.  Pairs are
+kept by the Gebauer-Moeller update (J. Symb. Comp. 1988, in the form of
+Becker-Weispfenning, Groebner Bases, p. 230); its criteria compare only leads
+in one position, and the coprime-lead criterion holds at rank 1 alone.
 
 All computations are exact; hard caps raise CapacityError instead of ever
 returning a truncated answer.
@@ -27,6 +30,9 @@ class CapacityError(RuntimeError):
 
 @dataclass(frozen=True)
 class Caps:
+    """Hard limits of one Buchberger run.  `max_pairs` counts the S-pairs that
+    reach reduction; pairs that a criterion removes do not count."""
+
     max_pairs: int = 20000
     max_degree: int = 120
 
@@ -127,25 +133,49 @@ def _buchberger(G: list, order: MonomialOrder, caps: Caps) -> list:
             _check_degree(p, caps)
     leads = [_lead(g, order) for g in G]
     rank1 = len(G[0]) == 1
+    active = []  # indices into G whose leads no later lead divides
+    live = {}    # pending pair (i, j) -> lcm; the queue skips dropped pairs
     queue = []
 
-    def add_pairs(j):
-        pos, mj, _ = leads[j]
-        for i in range(j):
-            if leads[i][0] != pos:
-                continue
-            mi = leads[i][1]
-            lcm = mono_lcm(mi, mj)
+    def divides(a, b):
+        return mono_div(b, a) is not None
+
+    def update(h):
+        """Gebauer-Moeller update (Becker-Weispfenning p. 230) for G[h]."""
+        pos, mh, _ = leads[h]
+        new = [(g, mono_lcm(leads[g][1], mh)) for g in active if leads[g][0] == pos]
+        # M and F criteria: drop (g, h) when the lcm of a pair still in `new`
+        # or already kept divides its lcm, so one pair per equal lcm survives
+        kept = []
+        for k, (g, lcm) in enumerate(new):
             # coprime leads: the S-polynomial reduces to 0 (not so for n > 1)
-            if rank1 and lcm == mono_mul(mi, mj):
-                continue
-            heapq.heappush(queue, (pos, order.key(lcm), i, j, lcm))
+            coprime = rank1 and lcm == mono_mul(leads[g][1], mh)
+            if coprime or not any(divides(m, lcm) for _, m, _ in kept) \
+                    and not any(divides(m, lcm) for _, m in new[k + 1:]):
+                kept.append((g, lcm, coprime))
+        # chain criterion on the pending pairs of h's position
+        for (i, j), lcm in list(live.items()):
+            if (leads[i][0] == pos and divides(mh, lcm)
+                    and mono_lcm(leads[i][1], mh) != lcm
+                    and mono_lcm(leads[j][1], mh) != lcm):
+                del live[i, j]
+        for g, lcm, coprime in kept:
+            if not coprime:
+                live[g, h] = lcm
+                # smallest lcm in the POT order first, so later positions
+                # first: their elements keep the tails of earlier ones small
+                heapq.heappush(queue, (-pos, order.key(lcm), g, h, lcm))
+        active[:] = [g for g in active
+                     if leads[g][0] != pos or not divides(mh, leads[g][1])]
+        active.append(h)
 
     for j in range(len(G)):
-        add_pairs(j)
+        update(j)
     processed = 0
     while queue:
         _, _, i, j, lcm = heapq.heappop(queue)
+        if live.pop((i, j), None) is None:
+            continue
         processed += 1
         if processed > caps.max_pairs:
             raise CapacityError(f"capacity: more than {caps.max_pairs} S-pairs")
@@ -161,7 +191,7 @@ def _buchberger(G: list, order: MonomialOrder, caps: Caps) -> list:
             _check_degree(p, caps)
         G.append(r)
         leads.append(_lead(r, order))
-        add_pairs(len(G) - 1)
+        update(len(G) - 1)
     return interreduce(G, leads, order)
 
 

@@ -326,7 +326,7 @@ def test_acceptance_10_cech_trace(P1):
         assert p.h_values == m[(0, 1)].h_values  # anchors verbatim
         assert p.u_values[0][0] == ring.nf(eps * (1 + s))
         det_space = DeformationSpace(resolution_complex(P1, det_of_complex({0: F})), A)
-        x = traced_cocycle_as_pairs(space, traced, det_space)
+        x = traced_cocycle_as_pairs(traced, det_space)
         assert locally_trivial_cocycle_check(det_space, x)["passed"]
         checked += 1
     # a genuine two-term complex: alternating trace with transpose signs
@@ -345,7 +345,7 @@ def test_acceptance_10_cech_trace(P1):
     assert p.h_values == hv
     assert p.u_values[0][0] == ring.nf(eps * s - 2 * eps)
     det_space = DeformationSpace(resolution_complex(P1, det_of_complex(sheaves)), A)
-    x = traced_cocycle_as_pairs(space, traced, det_space)
+    x = traced_cocycle_as_pairs(traced, det_space)
     assert locally_trivial_cocycle_check(det_space, x)["passed"]
     checked += 1
     _report(10, f"traced cocycles pass the determinant-level check on "

@@ -239,7 +239,7 @@ def test_sheaf_cocycle_helpers_refuse_a_complex(P1, eps2):
     with pytest.raises(CechError, match="one locally free sheaf"):
         solve_first_order_witness(space, {(0, 1): space.pair_complex((0, 1)).zero_pair()})
     with pytest.raises(CechError, match="one locally free sheaf"):
-        traced_cocycle_as_pairs(space, {}, space)
+        traced_cocycle_as_pairs({}, space)
 
 
 SCHEMES = {"P1": projective_line(), "P1x3": projective_line_three_charts()}
@@ -388,7 +388,7 @@ def test_cech_trace_two_term_alternating(P1, eps2):
     assert p.u_values[0][0] == ring.nf(3 * eps - eps)
     # the traced cocycle passes the determinant-level cocycle check
     det_space = DeformationSpace(resolution_complex(P1, det_of_complex(sheaves)), eps2)
-    x = traced_cocycle_as_pairs(space, traced, det_space)
+    x = traced_cocycle_as_pairs(traced, det_space)
     rep = locally_trivial_cocycle_check(det_space, x)
     assert rep["passed"]
 
@@ -421,6 +421,24 @@ def test_each_stored_transition_is_inverted_once(P1x3, eps2, monkeypatch):
               for i, j in ((0, 1), (0, 2), (1, 2))}
     assert calls and set(calls) <= stored
     assert max(calls.values()) == 1
+
+
+def test_triple_check_moves_only_to_larger_overlaps(P1x3, eps2, monkeypatch):
+    # of the triples on three charts only (0, 1, 2) lives on a larger overlap
+    # than its components; degenerate triples use them as they are
+    space = DeformationSpace(resolution_complex(P1x3, line_bundle(P1x3, 1)), eps2)
+    _, m = zero_cocycle(space, P1x3)
+    moves = []
+    restrict = DeformationSpace.restrict_chain
+
+    def counted(self, sub, sup, chain):
+        moves.append((sub, sup))
+        return restrict(self, sub, sup, chain)
+
+    monkeypatch.setattr(DeformationSpace, "restrict_chain", counted)
+    assert locally_trivial_cocycle_check(space, m)["passed"]
+    assert sorted(moves) == [((0, 1), (0, 1, 2)), ((0, 2), (0, 1, 2)),
+                             ((1, 2), (0, 1, 2))]
 
 
 @pytest.mark.parametrize("scheme", ["P1", "P1x3"])

@@ -6,11 +6,14 @@ path under test; the differential test compares reduced bases with sympy's
 when sympy is installed.
 """
 
+import json
 import random
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from defpair import groebner
@@ -19,6 +22,8 @@ from defpair.groebner import (CapacityError, Caps, ModuleBasis, _tagged_generato
                               solve_in_image, solve_many, submodule_contains,
                               syzygies, vec_is_zero, vec_zero)
 from defpair.poly import LEX, PolyRing, mono_div, mono_lcm
+
+DATA = Path(__file__).parent / "data"
 
 
 def slow_reduce(p, basis):
@@ -51,20 +56,31 @@ def spair(f, g):
     return f.mul_term(mono_div(lcm, fm), 1 / fc) - g.mul_term(mono_div(lcm, gm), 1 / gc)
 
 
-def cyclic4():
-    R = PolyRing(["a", "b", "c", "d"])
-    a, b, c, d = R.gens()
-    return [a + b + c + d, a * b + b * c + c * d + d * a,
-            a * b * c + b * c * d + c * d * a + d * a * b, a * b * c * d - 1]
+def cyclic(n):
+    """The cyclic-n system in QQ[x0, ..., x(n-1)]."""
+    R = PolyRing([f"x{i}" for i in range(n)])
+    x = R.gens()
+
+    def run(i, d):
+        p = R.one()
+        for t in range(d):
+            p = p * x[(i + t) % n]
+        return p
+
+    return ([sum((run(i, d) for i in range(n)), R.zero()) for d in range(1, n)]
+            + [run(0, n) - 1])
 
 
-def katsura3():
-    R = PolyRing(["u0", "u1", "u2", "u3"])
-    u0, u1, u2, u3 = R.gens()
-    return [u0 + 2 * u1 + 2 * u2 + 2 * u3 - 1,
-            u0 * u0 + 2 * u1 * u1 + 2 * u2 * u2 + 2 * u3 * u3 - u0,
-            2 * u0 * u1 + 2 * u1 * u2 + 2 * u2 * u3 - u1,
-            2 * u0 * u2 + u1 * u1 + 2 * u1 * u3 - u2]
+def katsura(n):
+    """The katsura-n system in QQ[u0, ..., un]."""
+    R = PolyRing([f"u{i}" for i in range(n + 1)])
+    u = R.gens()
+
+    def U(i):
+        return u[abs(i)] if abs(i) <= n else R.zero()
+
+    return [sum((U(i) for i in range(-n, n + 1)), R.zero()) - 1] + [
+        sum((U(i) * U(m - i) for i in range(-n, n + 1)), R.zero()) - U(m) for m in range(n)]
 
 
 def random_ideal(rng, R):
@@ -279,7 +295,7 @@ def test_random_syzygy_completeness():
 def test_ideal_is_the_rank_one_module():
     lexR = PolyRing(["x", "y"], order=LEX)
     x, y = lexR.gens()
-    for gens in (cyclic4(), [x * x - 1, x * y - 1]):
+    for gens in (cyclic(4), [x * x - 1, x * y - 1]):
         R = gens[0].ring
         assert (ModuleBasis(R, 1, [(g,) for g in gens]).basis
                 == [(g,) for g in groebner_basis(gens)])
@@ -298,7 +314,7 @@ def test_reduced_basis_matches_sympy():
     sympy = pytest.importorskip("sympy")
     R = PolyRing(["x", "y", "z"])
     rng = random.Random(11)
-    ideals = [cyclic4(), katsura3()] + [random_ideal(rng, R) for _ in range(8)]
+    ideals = [cyclic(4), katsura(3)] + [random_ideal(rng, R) for _ in range(8)]
 
     def to_sympy(p, syms):
         return sum((sympy.Rational(c.numerator, c.denominator)
@@ -315,6 +331,27 @@ def test_reduced_basis_matches_sympy():
         assert got == expected
 
 
+CLASSICS = {"cyclic-5": lambda: cyclic(5), "katsura-5": lambda: katsura(5)}
+
+
+def classics_text():
+    """Reduced grevlex bases of the classic inputs, one JSON line per input."""
+    return "{\n" + ",\n".join(
+        f"{json.dumps(name)}: "
+        + json.dumps([[[list(m), str(c)] for m, c in sorted(g.terms.items())]
+                      for g in groebner_basis(gens())])
+        for name, gens in CLASSICS.items()) + "\n}\n"
+
+
+def test_classic_bases_match_golden():
+    # the golden was written by the engine that reduced every S-pair (about
+    # 8 s for both); with the pair criteria both take about 1 s
+    start = time.perf_counter()
+    text = classics_text()
+    assert time.perf_counter() - start < 4.0
+    assert text == (DATA / "groebner_classics.json").read_text()
+
+
 _mono = st.tuples(st.integers(0, 2), st.integers(0, 2))
 _terms = st.dictionaries(_mono, st.integers(-3, 3).filter(bool), min_size=1, max_size=3)
 
@@ -329,6 +366,43 @@ def test_basis_does_not_depend_on_generator_order(vectors, rnd):
     assert ModuleBasis(R, 2, shuffled).basis == ModuleBasis(R, 2, gens).basis
     assert (groebner_basis([v[0] for v in shuffled])
             == groebner_basis([v[0] for v in gens]))
+
+
+_entry = st.dictionaries(_mono, st.integers(-3, 3).filter(bool), max_size=3)
+
+
+@st.composite
+def module_generators(draw):
+    """Rank 1 to 3 generators over QQ[x,y], as term dicts per position."""
+    n = draw(st.integers(1, 3))
+    return draw(st.lists(st.lists(_entry, min_size=n, max_size=n), min_size=2, max_size=4))
+
+
+@given(module_generators())
+# both systems lose a needed S-pair when the chain criterion drops a pair
+# because of a lead in another position
+@example([[{(1, 2): 3}, {}, {(2, 0): -3, (1, 1): -3}],
+          [{}, {(1, 1): 2}, {(1, 0): -2, (1, 2): 3, (1, 1): 1}],
+          [{}, {(1, 0): -2, (2, 0): -3, (0, 0): -3}, {(1, 2): -1}],
+          [{(2, 1): -2, (2, 0): -3}, {(2, 0): -5}, {}]])
+@example([[{(0, 1): -2, (2, 1): 1}, {}], [{}, {(0, 2): -2, (0, 0): 1}],
+          [{}, {(1, 1): 1}], [{(1, 2): -2}, {(0, 1): 1, (0, 0): 3}]])
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_module_basis_meets_buchberger_criterion(entries):
+    # checked on the output alone, whatever pairs the engine skipped: every
+    # generator and every same-position S-vector of the basis reduce to zero
+    R = PolyRing(["x", "y"])
+    gens = [tuple(sum((R.monomial(m, c) for m, c in t.items()), R.zero()) for t in v)
+            for v in entries]
+    mb = ModuleBasis(R, len(gens[0]), gens)
+    assert all(mb.contains(g) for g in gens)
+    for j, (pj, mj, cj) in enumerate(mb.leads):
+        for i, (pi, mi, ci) in enumerate(mb.leads[:j]):
+            if pi == pj:
+                lcm = mono_lcm(mi, mj)
+                qi, qj = mono_div(lcm, mi), mono_div(lcm, mj)
+                assert mb.contains(tuple(a.mul_term(qi, 1 / ci) - b.mul_term(qj, 1 / cj)
+                                         for a, b in zip(mb.basis[i], mb.basis[j])))
 
 
 def solve_one(ring, columns, target, ideal_gens=()):
